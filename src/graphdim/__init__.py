@@ -33,19 +33,15 @@ from .coloring import (
     min_degree_check,
 )
 from .core import (
-    DegreeProfile,
     Graph,
     bits_of,
     ceil_log2,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_profile,
     encode_graph6,
-    family,
     format_edge_list,
     hypercube_graph,
-    induced_degree,
     induced_subgraph,
     mask_of,
     max_degree_within,
@@ -59,18 +55,14 @@ from .core import (
 from .dimension import (
     DimCertificate,
     SubdimCertificate,
-    dim_bounds,
     dim_exact,
-    half_witness,
     subdim,
     subdim_exists,
     subdim_naive,
 )
 from .embedding import (
-    BoundReport,
     Embedding,
     EmbeddingReport,
-    embedding_dimension_bounds,
     format_embedding,
     unit_distance_embed,
     verify_embedding,

@@ -103,12 +103,6 @@ class GeneratorSet:
     def __init__(self, elements):
         object.__setattr__(self, "elements", frozenset(int(e) for e in elements))
 
-    @classmethod
-    def closed(cls, grp: AbelianGroup, elements) -> "GeneratorSet":
-        """Build from arbitrary elements by adding every negation."""
-        base = {int(e) for e in elements}
-        return cls(base | {grp.neg(e) for e in base})
-
 
 def _check_generators(grp: AbelianGroup, gens: GeneratorSet) -> None:
     for s in gens.elements:

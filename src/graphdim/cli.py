@@ -18,12 +18,13 @@ import json
 import sys
 import time
 
-from .coloring import chromatic_number, decomposition_coloring, is_proper
+from .coloring import _decompose, chromatic_number, is_proper
 from .core import bits_of, encode_graph6, max_degree_within
-from .dimension import dim_bounds, dim_exact, subdim
+from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
 from .inputs import load_input
+from .limits import require_within_cap
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -33,30 +34,25 @@ EXIT_CAP = 3
 EXIT_IO = 4
 
 
-def _vertices(mask: int) -> list[int]:
-    return bits_of(mask)
-
-
-def _subdim_entry(g) -> dict:
-    cert = subdim(g, g.vertex_mask)
+def _subdim_entry(g, cert) -> dict:
     replay = max_degree_within(g, cert.witness_min)
     return {
         "value": cert.value,
-        "witness_min": _vertices(cert.witness_min),
+        "witness_min": bits_of(cert.witness_min),
         "host_size": cert.host_size,
         "replay": {"witness_max_degree": replay, "ok": replay == cert.value},
     }
 
 
-def _dim_entry(g, cap) -> dict:
-    cert = dim_exact(g, cap=cap)
-    entry = {"value": cert.value, "witness_max": _vertices(cert.witness_max)}
+def _dim_entry(g, cert) -> dict:
+    entry = {"value": cert.value, "witness_max": bits_of(cert.witness_max)}
     if cert.inner is not None:
         inner_replay = max_degree_within(g, cert.inner.witness_min)
-        recomputed = subdim(g, cert.witness_max).value
+        # by the brute-force oracle, not the branch and bound that found it
+        recomputed = subdim_naive(g, cert.witness_max).value
         entry["inner"] = {
             "value": cert.inner.value,
-            "witness_min": _vertices(cert.inner.witness_min),
+            "witness_min": bits_of(cert.inner.witness_min),
             "host_size": cert.inner.host_size,
         }
         entry["replay"] = {
@@ -67,24 +63,23 @@ def _dim_entry(g, cap) -> dict:
     return entry
 
 
-def _chi_entry(g, cap) -> dict:
-    k, col = chromatic_number(g, cap=cap)
+def _chi_entry(g, k, col) -> dict:
+    proper = is_proper(g, col.colors)
     return {
         "value": k,
         "colors": list(col.colors),
-        "replay": {"proper": is_proper(g, col.colors),
+        "replay": {"proper": proper,
                    "palette_size": col.palette_size,
-                   "ok": is_proper(g, col.colors) and col.palette_size == k},
+                   "ok": proper and col.palette_size == k},
     }
 
 
-def _decomposition_entry(g, cap) -> dict:
-    col, trace = decomposition_coloring(g, cap=cap)
+def _decomposition_entry(g, col, trace) -> dict:
     return {
         "palette_size": col.palette_size,
         "colors": list(col.colors),
         "rounds": [
-            {"chunk": _vertices(r.chunk), "chunk_delta": r.chunk_delta,
+            {"chunk": bits_of(r.chunk), "chunk_delta": r.chunk_delta,
              "palette_offset": r.palette_offset}
             for r in trace.rounds
         ],
@@ -92,10 +87,7 @@ def _decomposition_entry(g, cap) -> dict:
     }
 
 
-def _embedding_entry(g, cap) -> dict:
-    _, col = chromatic_number(g, cap=cap)
-    emb = unit_distance_embed(g, col)
-    report = verify_embedding(g, emb)
+def _embedding_entry(report) -> dict:
     return {
         "ambient_dim": report.ambient_dim,
         "max_edge_error": report.max_edge_error,
@@ -111,18 +103,29 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
     results = {}
+    # subdim of the full vertex set, computed once: the subdim entry, the
+    # lower bound, the first dim host and the first decomposition round
+    full = None
     if which == "subdim" or (which == "all" and g.n >= 1):
-        results["subdim"] = _subdim_entry(g)
+        full = subdim(g, g.vertex_mask)
+        results["subdim"] = _subdim_entry(g, full)
     if which in ("dim", "all"):
-        results["dim"] = _dim_entry(g, cap)
+        if full is None:
+            dim = dim_exact(g, cap=cap)
+        else:
+            require_within_cap(g.n, cap, "dim_exact")
+            dim = _dim_search(g, full)
+        results["dim"] = _dim_entry(g, dim)
     if which in ("chi", "all"):
-        results["chi"] = _chi_entry(g, cap)
+        k, col = chromatic_number(g, cap=cap)
+        results["chi"] = _chi_entry(g, k, col)
     if which == "all":
-        lower, upper = dim_bounds(g)
-        results["bounds"] = {"lower": lower, "upper": upper}
-        if g.n >= 1:
-            results["decomposition"] = _decomposition_entry(g, cap)
-            results["embedding"] = _embedding_entry(g, cap)
+        results["bounds"] = {"lower": 0 if full is None else full.value,
+                             "upper": g.max_degree()}
+        if full is not None:  # within the cap checked for dim
+            results["decomposition"] = _decomposition_entry(g, *_decompose(g, full))
+            emb = unit_distance_embed(g, col)
+            results["embedding"] = _embedding_entry(verify_embedding(g, emb))
     report["results"] = results
     return report
 
@@ -142,14 +145,7 @@ def cmd_embed(spec: str, out_path: str, cap: int | None = None) -> dict:
     report = dict(descriptor)
     report["output"] = out_path
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
-    report["embedding"] = {
-        "ambient_dim": emb.ambient_dim,
-        "palette_size": k,
-        "max_edge_error": report_obj.max_edge_error,
-        "min_pair_distance": (None if report_obj.min_pair_distance == float("inf")
-                              else report_obj.min_pair_distance),
-        "ok": report_obj.ok,
-    }
+    report["embedding"] = dict(_embedding_entry(report_obj), palette_size=k)
     return report
 
 
@@ -172,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="solver cap override (default: GRAPHDIM_CAP or 16)")
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES + ("oracle",))
+    p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
     p_verify.add_argument("--cap", type=int, default=None,
                           help="max vertex count for the exhaustive sweeps (default 6)")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Graph, bits_of, ceil_log2
-from .dimension import subdim
+from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -89,21 +89,29 @@ def greedy_coloring(g: Graph, order) -> Coloring:
     if sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of the vertices")
     colors = [-1] * g.n
-    top = 0
+    top = _first_fit(g.adj, order, g.vertex_mask, colors, 0)
+    return Coloring(tuple(colors), top)
+
+
+def _first_fit(adj, order, within: int, colors: list[int], offset: int) -> int:
+    """First-fit color the vertices of `order` in place with ids offset,
+    offset + 1, ..., avoiding colored neighbors inside `within`, where every
+    colored vertex holds an id >= offset; returns the number of ids used."""
+    used = 0
     for v in order:
-        used = 0
-        rest = g.adj[v]
+        taken = 0
+        rest = adj[v] & within
         while rest:
             low = rest & -rest
             c = colors[low.bit_length() - 1]
             if c >= 0:
-                used |= 1 << c
+                taken |= 1 << (c - offset)
             rest ^= low
-        c = (~used & -~used).bit_length() - 1  # lowest unused color
-        colors[v] = c
-        if c + 1 > top:
-            top = c + 1
-    return Coloring(tuple(colors), top)
+        c = (~taken & -~taken).bit_length() - 1  # lowest unused color
+        colors[v] = offset + c
+        if c + 1 > used:
+            used = c + 1
+    return used
 
 
 def _greedy_order(g: Graph) -> list[int]:
@@ -157,24 +165,32 @@ def _color_decision(adj, members: list[int], k: int):
     return dict(assigned) if place(0, 0) else None
 
 
+def _chromatic(adj, members: list[int], ub: int) -> tuple[int, dict | None]:
+    """Smallest k below ub with a proper k-coloring of `members`, with that
+    coloring; (ub, None) when none exists.  A greedy clique gives the lower
+    bound and backtracking decides each candidate k in between."""
+    for k in range(_clique_lower_bound(adj, members), ub):
+        assigned = _color_decision(adj, members, k)
+        if assigned is not None:
+            return k, assigned
+    return ub, None
+
+
 def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number with a witnessing coloring.
 
     Greedy gives the incumbent, a greedy clique the lower bound, and
-    backtracking decides each candidate palette size in between.
+    backtracking decides each candidate palette size in between; the
+    greedy coloring itself is returned when no smaller palette works.
     """
     require_within_cap(g.n, cap, "chromatic_number")
     if g.n == 0:
         return 0, Coloring((), 0)
     greedy = greedy_coloring(g, _greedy_order(g))
-    ub = greedy.palette_size
-    lb = _clique_lower_bound(g.adj, list(range(g.n)))
-    for k in range(lb, ub):
-        assigned = _color_decision(g.adj, list(range(g.n)), k)
-        if assigned is not None:
-            colors = tuple(assigned[v] for v in range(g.n))
-            return k, Coloring(colors, k)
-    return ub, greedy
+    k, assigned = _chromatic(g.adj, list(range(g.n)), greedy.palette_size)
+    if assigned is None:
+        return k, greedy
+    return k, Coloring(tuple(assigned[v] for v in range(g.n)), k)
 
 
 def _chi_table(adj, n: int) -> list[int]:
@@ -214,13 +230,7 @@ def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> in
         raise DomainError("vertex set mentions vertices outside the graph")
     require_within_cap(g.n, cap, "chromatic_number_within")
     members = bits_of(subset)
-    if not members:
-        return 0
-    lb = _clique_lower_bound(g.adj, members)
-    for k in range(lb, len(members)):
-        if _color_decision(g.adj, members, k) is not None:
-            return k
-    return len(members)
+    return _chromatic(g.adj, members, len(members))[0]
 
 
 def critical_subgraph(g: Graph, cap: int | None = None) -> int:
@@ -278,27 +288,20 @@ def decomposition_coloring(g: Graph, cap: int | None = None) -> tuple[Coloring, 
     require_within_cap(g.n, cap, "decomposition_coloring")
     if g.n == 0:
         raise DomainError("decomposition coloring of the empty graph is undefined")
+    return _decompose(g, subdim(g, g.vertex_mask))
+
+
+def _decompose(g: Graph, full: SubdimCertificate) -> tuple[Coloring, DecompositionTrace]:
+    """decomposition_coloring for n >= 1, given the full vertex set's
+    certificate, which is the first round's."""
     colors = [-1] * g.n
     rounds = []
     remaining = g.vertex_mask
     offset = 0
     while remaining:
-        cert = subdim(g, remaining)
+        cert = full if remaining == g.vertex_mask else subdim(g, remaining)
         chunk = cert.witness_min
-        used = 0
-        for v in bits_of(chunk):
-            taken = 0
-            rest = g.adj[v] & chunk
-            while rest:
-                low = rest & -rest
-                c = colors[low.bit_length() - 1]
-                if c >= 0:
-                    taken |= 1 << (c - offset)
-                rest ^= low
-            c = (~taken & -~taken).bit_length() - 1
-            colors[v] = offset + c
-            if c + 1 > used:
-                used = c + 1
+        used = _first_fit(g.adj, bits_of(chunk), chunk, colors, offset)
         rounds.append(DecompositionRound(chunk=chunk, chunk_delta=cert.value,
                                          palette_offset=offset))
         offset += used

@@ -17,13 +17,10 @@ from .errors import DomainError, ParseError
 
 __all__ = [
     "Graph",
-    "DegreeProfile",
     "bits_of",
     "mask_of",
     "ceil_log2",
-    "induced_degree",
     "max_degree_within",
-    "degree_profile",
     "induced_subgraph",
     "relabel",
     "parse_edge_list",
@@ -35,7 +32,6 @@ __all__ = [
     "complete_graph",
     "complete_bipartite_graph",
     "hypercube_graph",
-    "family",
     "subsets_of_size",
     "subsets_of_mask",
 ]
@@ -135,32 +131,13 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Degrees inside an induced subgraph, aligned with the ascending members."""
-
-    members: tuple[int, ...]
-    degrees: tuple[int, ...]
-    max_degree: int
-
-
 def _check_subset(g: Graph, subset: int) -> None:
     if subset & ~g.vertex_mask:
         raise DomainError("vertex set mentions vertices outside the graph")
 
 
-def induced_degree(g: Graph, subset: int, v: int) -> int:
-    """Degree of v inside the subgraph induced by `subset`."""
-    _check_subset(g, subset)
-    if not subset >> v & 1:
-        raise DomainError(f"vertex {v} is not in the subset")
-    return (g.adj[v] & subset).bit_count()
-
-
-def max_degree_within(g: Graph, subset: int) -> int:
-    """Maximum degree of the induced subgraph; 0 for empty or singleton sets."""
-    _check_subset(g, subset)
-    adj = g.adj
+def _induced_max_degree(adj, subset: int) -> int:
+    """Maximum degree of the subgraph induced by `subset`, unchecked."""
     best = 0
     rest = subset
     while rest:
@@ -172,11 +149,10 @@ def max_degree_within(g: Graph, subset: int) -> int:
     return best
 
 
-def degree_profile(g: Graph, subset: int) -> DegreeProfile:
+def max_degree_within(g: Graph, subset: int) -> int:
+    """Maximum degree of the induced subgraph; 0 for empty or singleton sets."""
     _check_subset(g, subset)
-    members = bits_of(subset)
-    degrees = tuple((g.adj[v] & subset).bit_count() for v in members)
-    return DegreeProfile(tuple(members), degrees, max(degrees, default=0))
+    return _induced_max_degree(g.adj, subset)
 
 
 def induced_subgraph(g: Graph, subset: int) -> Graph:
@@ -378,26 +354,6 @@ def hypercube_graph(n: int) -> Graph:
         for b in range(n):
             adj[v] |= 1 << (v ^ (1 << b))
     return Graph(size, tuple(adj))
-
-
-_FAMILIES = {
-    "path": (1, path_graph),
-    "cycle": (1, cycle_graph),
-    "complete": (1, complete_graph),
-    "complete_bipartite": (2, complete_bipartite_graph),
-    "hypercube": (1, hypercube_graph),
-}
-
-
-def family(name: str, *params: int) -> Graph:
-    """Build a named family member: path n, cycle n, complete n,
-    complete_bipartite m n, hypercube n."""
-    if name not in _FAMILIES:
-        raise DomainError(f"unknown family {name!r}; known: {sorted(_FAMILIES)}")
-    arity, builder = _FAMILIES[name]
-    if len(params) != arity:
-        raise DomainError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, bits_of, max_degree_within, subsets_of_mask, subsets_of_size
+from .core import Graph, _induced_max_degree, bits_of, subsets_of_mask, subsets_of_size
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -31,9 +31,7 @@ __all__ = [
     "subdim_exists",
     "subdim",
     "subdim_naive",
-    "half_witness",
     "dim_exact",
-    "dim_bounds",
 ]
 
 
@@ -172,23 +170,11 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
     best = None
     best_witness = None
     for cand in subsets_of_mask(subset, s):
-        delta = 0
-        rest = cand
-        while rest:
-            low = rest & -rest
-            deg = (adj[low.bit_length() - 1] & cand).bit_count()
-            if deg > delta:
-                delta = deg
-            rest ^= low
+        delta = _induced_max_degree(adj, cand)
         if best is None or delta < best:
             best = delta
             best_witness = cand
     return SubdimCertificate(value=best, witness_min=best_witness, host_size=m)
-
-
-def half_witness(g: Graph, subset: int) -> int:
-    """The majority-size subset minimizing induced max degree (the subdim witness)."""
-    return subdim(g, subset).witness_min
 
 
 def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
@@ -205,34 +191,24 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     require_within_cap(g.n, cap, "dim_exact")
     if g.n == 0:
         return DimCertificate(value=0, witness_max=0, inner=None)
+    return _dim_search(g, subdim(g, g.vertex_mask))
+
+
+def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
+    """dim_exact's host scan for n >= 1, given the full vertex set's certificate."""
     adj = g.adj
-    best = -1
-    best_host = 0
-    best_inner = None
-    for size in range(g.n, 0, -1):
+    best = full.value
+    best_host = g.vertex_mask
+    best_inner = full
+    for size in range(g.n - 1, 0, -1):
         s = size // 2 + 1
         for host in subsets_of_size(g.n, size):
-            delta = 0
-            rest = host
-            while rest:
-                low = rest & -rest
-                deg = (adj[low.bit_length() - 1] & host).bit_count()
-                if deg > delta:
-                    delta = deg
-                rest ^= low
-            if delta <= best:
+            if _induced_max_degree(adj, host) <= best:
                 continue
-            if best >= 0 and subdim_exists(g, host, s, best) is not None:
+            if subdim_exists(g, host, s, best) is not None:
                 continue  # subdim(host) <= best, cannot improve
             value, witness = _subdim_scan(g, host, s, best + 1)
             best = value
             best_host = host
             best_inner = SubdimCertificate(value=value, witness_min=witness, host_size=size)
     return DimCertificate(value=best, witness_max=best_host, inner=best_inner)
-
-
-def dim_bounds(g: Graph) -> tuple[int, int]:
-    """Cheap sandwich: subdim of the full vertex set <= dim <= max degree."""
-    if g.n == 0:
-        return 0, 0
-    return subdim(g, g.vertex_mask).value, g.max_degree()

@@ -15,19 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coloring import Coloring, chromatic_number, decomposition_coloring, is_proper
-from .core import Graph, ceil_log2
-from .dimension import dim_exact
+from .coloring import Coloring, is_proper
+from .core import Graph
 from .errors import DomainError
-from .limits import require_within_cap
 
 __all__ = [
     "Embedding",
     "EmbeddingReport",
-    "BoundReport",
     "unit_distance_embed",
     "verify_embedding",
-    "embedding_dimension_bounds",
     "format_embedding",
 ]
 
@@ -55,18 +51,6 @@ class EmbeddingReport:
     @property
     def ok(self) -> bool:
         return self.edges_ok and self.distinct_ok
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """The two upper bounds on the unit-distance dimension, with witnesses."""
-
-    chromatic: int
-    dim_value: int
-    bound_via_chi: int           # 2 * chromatic number, realized by embedding_chi
-    bound_via_dim: int           # 2 * (dim + 1) * max(1, ceil(log2 n))
-    embedding_chi: Embedding
-    embedding_decomposition: Embedding
 
 
 def unit_distance_embed(g: Graph, col: Coloring) -> Embedding:
@@ -124,35 +108,6 @@ def verify_embedding(g: Graph, emb: Embedding, tol: float = 1e-9) -> EmbeddingRe
         min_pair_distance=min_pair,
         edges_ok=max_edge_error <= tol,
         distinct_ok=min_pair > tol,
-    )
-
-
-def embedding_dimension_bounds(g: Graph, cap: int | None = None) -> BoundReport:
-    """Both constructive upper bounds on the unit-distance dimension.
-
-    2*chi always, and 2*(dim+1)*max(1, ceil(log2 n)) through the
-    decomposition coloring; the first never exceeds the second (that is
-    the chromatic bound, doubled), and this function checks it.
-    """
-    require_within_cap(g.n, cap, "embedding_dimension_bounds")
-    if g.n == 0:
-        raise DomainError("bound report needs a nonempty graph")
-    chi, chi_coloring = chromatic_number(g, cap=cap)
-    dcert = dim_exact(g, cap=cap)
-    bound_via_chi = 2 * chi
-    bound_via_dim = 2 * (dcert.value + 1) * max(1, ceil_log2(g.n))
-    if bound_via_chi > bound_via_dim:
-        raise RuntimeError(
-            f"chromatic bound {bound_via_chi} exceeds dimension bound {bound_via_dim}; "
-            "this contradicts the decomposition argument and indicates a solver bug")
-    decomp_coloring, _ = decomposition_coloring(g, cap=cap)
-    return BoundReport(
-        chromatic=chi,
-        dim_value=dcert.value,
-        bound_via_chi=bound_via_chi,
-        bound_via_dim=bound_via_dim,
-        embedding_chi=unit_distance_embed(g, chi_coloring),
-        embedding_decomposition=unit_distance_embed(g, decomp_coloring),
     )
 
 

@@ -1,10 +1,14 @@
 """Input descriptors for the command line and the verification sweeps.
 
-A graph input is either a family spec or a file path.  Family specs:
+A graph input is either a family spec or a file path.  Family specs are
+'token:body', and the one table ``_FAMILIES`` maps each token to its arity
+and builder:
 
     path:7  cycle:6  complete:5  kbip:3,4  cube:3
     cayley:z:N1,N2,...;gens=G1,G2,...
 
+The integer families take a comma-separated list of exactly `arity`
+parameters; cayley (arity None) hands its whole body to the spec parser.
 Cayley generators are element tuples like (1,0),(0,1); for a single cyclic
 factor bare residues are accepted (gens=1,4).  The generator set is taken
 literally and must already be closed under negation.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import os
 import re
 
-from .cayley import AbelianGroup, GeneratorSet
+from .cayley import AbelianGroup, GeneratorSet, cayley_graph
 from .core import (
     Graph,
     complete_bipartite_graph,
@@ -33,8 +37,6 @@ from .core import (
 from .errors import ParseError
 
 __all__ = ["parse_cayley_spec", "load_input"]
-
-_FAMILY_TOKENS = ("path", "cycle", "complete", "kbip", "cube", "cayley")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -78,34 +80,28 @@ def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:
     return grp, GeneratorSet(elements)
 
 
+def _cayley_family(body: str) -> Graph:
+    return cayley_graph(*parse_cayley_spec(body))
+
+
+_FAMILIES = {
+    "path": (1, path_graph),
+    "cycle": (1, cycle_graph),
+    "complete": (1, complete_graph),
+    "kbip": (2, complete_bipartite_graph),
+    "cube": (1, hypercube_graph),
+    "cayley": (None, _cayley_family),
+}
+
+
 def _build_family(token: str, body: str) -> Graph:
-    if token == "cayley":
-        from .cayley import cayley_graph
-        grp, gens = parse_cayley_spec(body)
-        return cayley_graph(grp, gens)
+    arity, builder = _FAMILIES[token]
+    if arity is None:
+        return builder(body)
     params = _parse_int_list(body, f"{token} parameters")
-    if token == "path":
-        (n,) = _expect_arity(params, 1, token)
-        return path_graph(n)
-    if token == "cycle":
-        (n,) = _expect_arity(params, 1, token)
-        return cycle_graph(n)
-    if token == "complete":
-        (n,) = _expect_arity(params, 1, token)
-        return complete_graph(n)
-    if token == "kbip":
-        m, n = _expect_arity(params, 2, token)
-        return complete_bipartite_graph(m, n)
-    if token == "cube":
-        (n,) = _expect_arity(params, 1, token)
-        return hypercube_graph(n)
-    raise ParseError(f"unknown family {token!r}")
-
-
-def _expect_arity(params: list[int], arity: int, token: str) -> list[int]:
     if len(params) != arity:
         raise ParseError(f"family {token!r} takes {arity} parameter(s), got {len(params)}")
-    return params
+    return builder(*params)
 
 
 def _load_file(path: str) -> Graph:
@@ -129,10 +125,10 @@ def _load_file(path: str) -> Graph:
 def load_input(spec: str) -> tuple[Graph, dict]:
     """Resolve a family spec or file path into a graph plus a report descriptor."""
     head = spec.split(":", 1)[0]
-    if ":" in spec and head in _FAMILY_TOKENS:
+    if ":" in spec and head in _FAMILIES:
         g = _build_family(head, spec.split(":", 1)[1])
         return g, {"input": spec, "kind": "family"}
     if os.path.exists(spec):
         return _load_file(spec), {"input": spec, "kind": "file"}
     raise ParseError(
-        f"{spec!r} is neither a family spec ({', '.join(_FAMILY_TOKENS)}) nor an existing file")
+        f"{spec!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")

@@ -5,6 +5,7 @@ with pytest -s, or in the captured output section on failure) and then
 asserts.  Criteria with a stated time budget assert the elapsed time too.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -174,6 +175,10 @@ def test_criterion_8_embeddings_and_doubled_bound():
     assert elapsed < 60
 
 
+# sha256 of the `graphdim verify all` stdout; refactors must leave it unchanged
+VERIFY_ALL_SHA256 = "1eeac99398b4910524a74ee87110713a7f222641b9e2565246d3a630d36ef85a"
+
+
 def test_criterion_9_byte_identical_reports():
     start = time.perf_counter()
 
@@ -187,6 +192,7 @@ def test_criterion_9_byte_identical_reports():
     second = run_verify_all()
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
+    ok &= hashlib.sha256(first.stdout.encode()).hexdigest() == VERIFY_ALL_SHA256
     report = json.loads(first.stdout)
     ok &= report["ok"] is True
     elapsed = time.perf_counter() - start

@@ -1,10 +1,18 @@
+import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
+import pytest
+
+from graphdim import dimension
+from graphdim.cli import cmd_compute
 from graphdim.coloring import is_proper
 from graphdim.core import hypercube_graph, max_degree_within, mask_of, parse_graph6
+from graphdim.errors import DomainError
 
 
 def run_cli(*args, env=None):
@@ -162,3 +170,91 @@ def test_diagnostics_go_to_stderr():
     proc = run_cli("compute", "path:4", "--which", "dim")
     assert "finished in" in proc.stderr
     json.loads(proc.stdout)  # stdout is pure JSON
+
+
+# sha256 of the compact sorted-key JSON of cmd_compute(spec, which), the
+# bytes the CLI prints before its newline; a file input's path is replaced
+# by "<file>".  "edges10" is _seeded_edge_list(), "edges0" the n = 0 file.
+_COMPUTE_DIGESTS = {
+    ("path:9", "all"): "38d73979fd926da5b0a8f5742b819c3b50ed3e6a2e6ac20ac7dc6689df29a450",
+    ("path:9", "dim"): "77b29d5ae05385d244ea2ed37c3ed55b9b4555fdea471c8967256ad58145411d",
+    ("path:9", "subdim"): "17bd00b66106efe88e54194478f6da6027efd260cbe1b42a53f25abb7d96450a",
+    ("path:9", "chi"): "66e9e6b52a810d370a4f1952c3df09164eb6753bed9265589deaf0eca8e6e415",
+    ("cycle:7", "all"): "c518ef7225e8987fcb9e3ce55870474ceb64fd89d4f84049761f34bb0493dd60",
+    ("cycle:7", "dim"): "a52df9cd659e718cfd97ace03aa82a94121b57547331971727d3afd69e12a273",
+    ("cycle:7", "subdim"): "85c1e9662733a3a49e6bf207b48e68ac34ab55582222c5517aa493bbf03027fb",
+    ("cycle:7", "chi"): "3812a28e904e3d80015d2d4ed4f2058cc28b5baeac7c1b03cc7298d7dcf2701f",
+    ("complete:10", "all"): "76a5abbd1d2202f2b9414d6bfc04b9226e6f61867b71c4d655bcace7a6197538",
+    ("complete:10", "dim"): "de21abb497226c18b749e3510fa5576742d85980f83d6eb8e3446c4e8f4ab127",
+    ("complete:10", "subdim"): "47a2341dc68a4c6c58b17a15b0acdc401615adf7387abbcb59b124aa2db35289",
+    ("complete:10", "chi"): "6311cce56795af52eefc73f7ccbd362970c05f99a4a4d8ae40097cda28c3986a",
+    ("kbip:3,4", "all"): "4cebd4116db5fce52e3905cb6a1da1d3b06c5a1177cf9be25ba429167366512c",
+    ("kbip:3,4", "dim"): "50cee7ab39d44654cb49b0be25c50b9e78f5bf66087234e67c7854113e3793fa",
+    ("kbip:3,4", "subdim"): "9ca8abb652930ca4888a3852d2f72f604dadac659f1e1057a5169fd34d5e4ed5",
+    ("kbip:3,4", "chi"): "c0cfc8ab9a789ddc30eaa723a1a62806b398127585f229668e412df073843fc1",
+    ("cube:3", "all"): "7fff4b55e1403e38ad989a6fecd533ffbe8ab021409b65e15ec8b042ca952c8b",
+    ("cube:3", "dim"): "f25a7eb0b4e7db6ffd8259b1677d81092cdbd4d9e4da5ae7b4f658df78a9f527",
+    ("cube:3", "subdim"): "069bbd8ef7f3592e510a66d01288c4be0bbb96d38dd3d865db78351a1f58ef06",
+    ("cube:3", "chi"): "f6d97387e1b7a02417b5327ec5b3c37479772cf5c288d6893aca0afaa9e8c22f",
+    ("cayley:z:7;gens=1,2,5,6", "all"):
+        "318f6faeb16a7e47251392b49e48dcf9ecbb7d1b3e7b1ad7409384828ea6af5a",
+    ("cayley:z:7;gens=1,2,5,6", "dim"):
+        "e5a06b4b30d20518361b65a78dcbea24e52eaaf871f12201a7e466354e722c88",
+    ("cayley:z:7;gens=1,2,5,6", "subdim"):
+        "5f7448aaceba63aa86649b5a966d36b7bbefdcd060bf77e7e1dca701c1bab3ca",
+    ("cayley:z:7;gens=1,2,5,6", "chi"):
+        "c113dd0f79524cb03f7f2b93a3b2bf1f39e6907834458e0f1a7bc6e7406df460",
+    ("edges10", "all"): "211112b48610033fbc803d1ae3bd66abb3dbec1e1218f0aaeb89e87572b9bacd",
+    ("edges10", "dim"): "3d14dde862cbae5b3c7fde3c15c9ca2669a16d3c6b7942d63518a6d9a9ab7bd6",
+    ("edges10", "subdim"): "1bc9fa51e94c567cbb675e660f82f3d99a678c84ee716313f42390ab04731a6b",
+    ("edges10", "chi"): "76d746bda3a69269e3915fda97f2185ddc51988848bb5a729ee0797211c8b7d3",
+    ("edges0", "all"): "2aa870a239bc10b7e2d88a27c5c77ee7c4b5c82fdb79949f3ec1a017d805d76a",
+    ("edges0", "dim"): "c12143f2aec22b2b3de3aad8479fd3800975fb1b8449ea66562f4be650457560",
+    ("edges0", "chi"): "0eeb93bde90d2bb46aad6700b8f61fc05c8142b36bafbe49b148e9557e1b4f8c",
+}
+
+
+def _seeded_edge_list(n=10, seed=2026):
+    rng = random.Random(seed)
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _resolve_spec(spec, tmp_path):
+    texts = {"edges10": _seeded_edge_list(), "edges0": "0\n"}
+    if spec not in texts:
+        return spec
+    path = tmp_path / f"{spec}.txt"
+    path.write_text(texts[spec])
+    return str(path)
+
+
+@pytest.mark.parametrize("spec,which", sorted(_COMPUTE_DIGESTS))
+def test_compute_report_digests(spec, which, tmp_path):
+    report = cmd_compute(_resolve_spec(spec, tmp_path), which)
+    if report["kind"] == "file":
+        report["input"] = "<file>"
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _COMPUTE_DIGESTS[spec, which]
+
+
+def test_compute_subdim_of_empty_graph_rejected(tmp_path):
+    with pytest.raises(DomainError):
+        cmd_compute(_resolve_spec("edges0", tmp_path), "subdim")
+
+
+def test_compute_all_scans_the_full_vertex_set_once(monkeypatch):
+    # one ascending scan on d decides subdim(V) = value with value + 1 calls;
+    # every later use of subdim(V) must reuse that certificate
+    full_calls = 0
+    real = dimension.subdim_exists
+
+    def counting(g, subset, s, d):
+        nonlocal full_calls
+        if subset == g.vertex_mask:
+            full_calls += 1
+        return real(g, subset, s, d)
+
+    monkeypatch.setattr(dimension, "subdim_exists", counting)
+    report = cmd_compute("cycle:9", "all")
+    assert full_calls == report["results"]["subdim"]["value"] + 1

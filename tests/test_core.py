@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import graphdim.core as core
 from graphdim.core import (
     Graph,
     bits_of,
@@ -11,12 +12,9 @@ from graphdim.core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    degree_profile,
     encode_graph6,
-    family,
     format_edge_list,
     hypercube_graph,
-    induced_degree,
     induced_subgraph,
     mask_of,
     max_degree_within,
@@ -28,6 +26,7 @@ from graphdim.core import (
     subsets_of_size,
 )
 from graphdim.errors import DomainError, ParseError
+from graphdim.inputs import load_input
 
 
 def random_graph(rng, n, p=0.5):
@@ -74,26 +73,22 @@ def test_edges_iteration_sorted():
 # induced degrees
 # ---------------------------------------------------------------------------
 
+# induced_subgraph relabels the members 0..k-1 in ascending order
+
 def test_induced_degree_clique():
     g = complete_graph(4)
-    assert induced_degree(g, mask_of([0, 1, 2]), 0) == 2
+    assert induced_subgraph(g, mask_of([0, 1, 2])).degree(0) == 2
 
 
 def test_induced_degree_path():
     g = path_graph(4)
-    assert induced_degree(g, mask_of([0, 2, 3]), 2) == 1
+    assert induced_subgraph(g, mask_of([0, 2, 3])).degree(1) == 1  # vertex 2
 
 
 def test_induced_degree_cycle():
     # enumerate C_4's edges inside {0,1,3}: 0-1 and 0-3 survive
     g = cycle_graph(4)
-    assert induced_degree(g, mask_of([0, 1, 3]), 0) == 2
-
-
-def test_induced_degree_requires_membership():
-    g = path_graph(3)
-    with pytest.raises(DomainError):
-        induced_degree(g, mask_of([0, 1]), 2)
+    assert induced_subgraph(g, mask_of([0, 1, 3])).degree(0) == 2
 
 
 def test_max_degree_within_cycle4():
@@ -125,10 +120,9 @@ def test_max_degree_monotone_under_inclusion():
 
 def test_degree_profile():
     g = cycle_graph(5)
-    prof = degree_profile(g, mask_of([0, 1, 3]))
-    assert prof.members == (0, 1, 3)
-    assert prof.degrees == (1, 1, 0)
-    assert prof.max_degree == 1
+    sub = induced_subgraph(g, mask_of([0, 1, 3]))
+    assert [sub.degree(i) for i in range(sub.n)] == [1, 1, 0]
+    assert sub.max_degree() == max_degree_within(g, mask_of([0, 1, 3])) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +245,12 @@ def test_complete_bipartite_partition():
 
 
 def test_family_dispatch():
-    assert family("hypercube", 3) == hypercube_graph(3)
-    assert family("complete_bipartite", 2, 3) == complete_bipartite_graph(2, 3)
-    with pytest.raises(DomainError):
-        family("petersen", 1)
-    with pytest.raises(DomainError):
-        family("path", 1, 2)
+    assert load_input("cube:3")[0] == hypercube_graph(3)
+    assert load_input("kbip:2,3")[0] == complete_bipartite_graph(2, 3)
+    with pytest.raises(ParseError):
+        load_input("petersen:1")
+    with pytest.raises(ParseError):
+        load_input("path:1,2")
 
 
 @pytest.mark.parametrize("name,params", [
@@ -265,7 +259,7 @@ def test_family_dispatch():
 ])
 def test_family_parameter_range(name, params):
     with pytest.raises(DomainError):
-        family(name, *params)
+        getattr(core, f"{name}_graph")(*params)
 
 
 def test_hypercube_degrees():

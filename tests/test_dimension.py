@@ -9,6 +9,7 @@ from graphdim.core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    format_edge_list,
     hypercube_graph,
     induced_subgraph,
     mask_of,
@@ -17,10 +18,9 @@ from graphdim.core import (
     relabel,
     subsets_of_mask,
 )
+from graphdim.cli import cmd_compute
 from graphdim.dimension import (
-    dim_bounds,
     dim_exact,
-    half_witness,
     subdim,
     subdim_exists,
     subdim_naive,
@@ -67,8 +67,6 @@ def test_subdim_empty_host_rejected():
         subdim_naive(g, 0)
     with pytest.raises(DomainError):
         subdim(g, 0)
-    with pytest.raises(DomainError):
-        half_witness(g, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +283,33 @@ def test_dim_cap_enforced():
     assert dim_exact(g, cap=17).value == 0
 
 
-def test_dim_bounds_examples():
-    assert dim_bounds(complete_bipartite_graph(2, 3)) == (0, 3)
-    assert dim_bounds(complete_graph(6)) == (3, 5)
-    assert dim_bounds(cycle_graph(5)) == (1, 2)
-    assert dim_bounds(Graph(0, ())) == (0, 0)
+# the bounds entry of a compute report: subdim of V <= dim <= max degree
+
+def _bounds(spec):
+    bounds = cmd_compute(spec, "all")["results"]["bounds"]
+    return bounds["lower"], bounds["upper"]
 
 
-def test_dim_bounds_sandwich():
+def test_dim_bounds_examples(tmp_path):
+    assert _bounds("kbip:2,3") == (0, 3)
+    assert _bounds("complete:6") == (3, 5)
+    assert _bounds("cycle:5") == (1, 2)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0\n")
+    assert _bounds(str(empty)) == (0, 0)
+
+
+def test_dim_bounds_sandwich(tmp_path):
     rng = random.Random(31)
+    path = tmp_path / "g.txt"
     for _ in range(50):
         n = rng.randint(1, 8)
         g = random_graph(rng, n)
-        lo, hi = dim_bounds(g)
+        path.write_text(format_edge_list(g))
+        lo, hi = _bounds(str(path))
         value = dim_exact(g).value
+        assert lo == subdim(g, g.vertex_mask).value
+        assert hi == g.max_degree()
         assert lo <= value <= hi
 
 
@@ -308,21 +319,21 @@ def test_dim_bounds_sandwich():
 
 def test_half_witness_path4():
     g = path_graph(4)
-    w = half_witness(g, g.vertex_mask)
+    w = subdim(g, g.vertex_mask).witness_min
     assert w == mask_of([0, 1, 3])
     assert max_degree_within(g, w) == 1
 
 
 def test_half_witness_clique():
     g = complete_graph(4)
-    w = half_witness(g, g.vertex_mask)
+    w = subdim(g, g.vertex_mask).witness_min
     assert w.bit_count() == 3
     assert max_degree_within(g, w) == 2
 
 
 def test_half_witness_hypercube3():
     g = hypercube_graph(3)
-    w = half_witness(g, g.vertex_mask)
+    w = subdim(g, g.vertex_mask).witness_min
     assert w.bit_count() == 5
     assert max_degree_within(g, w) == 2
     assert subdim_exists(g, g.vertex_mask, 5, 1) is None

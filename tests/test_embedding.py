@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from graphdim.coloring import Coloring, chromatic_number, decomposition_coloring, greedy_coloring
+from graphdim.coloring import (
+    Coloring,
+    chromatic_bound_from_dim,
+    chromatic_number,
+    decomposition_coloring,
+    greedy_coloring,
+)
 from graphdim.core import (
     Graph,
     complete_graph,
@@ -12,9 +18,9 @@ from graphdim.core import (
     hypercube_graph,
     path_graph,
 )
+from graphdim.dimension import dim_exact
 from graphdim.embedding import (
     Embedding,
-    embedding_dimension_bounds,
     format_embedding,
     unit_distance_embed,
     verify_embedding,
@@ -116,18 +122,29 @@ def test_separation_in_a_thousand_point_class():
     assert report.min_pair_distance > 1e-6
 
 
+# the two constructive bounds on the unit-distance dimension: 2 * chi,
+# realized by the chi coloring, and 2 * (dim + 1) * max(1, ceil(log2 n)),
+# met by the decomposition coloring
+
+def _bound_report(g):
+    chi, col = chromatic_number(g)
+    via_dim = 2 * chromatic_bound_from_dim(dim_exact(g).value, g.n)
+    decomposition, _ = decomposition_coloring(g)
+    return 2 * chi, via_dim, unit_distance_embed(g, col), unit_distance_embed(g, decomposition)
+
+
 @pytest.mark.parametrize("g,want", [
     (cycle_graph(5), (6, 12)),
     (complete_graph(4), (8, 12)),
     (complete_graph(2), (4, 4)),
 ])
 def test_bound_report_values(g, want):
-    rep = embedding_dimension_bounds(g)
-    assert (rep.bound_via_chi, rep.bound_via_dim) == want
-    assert rep.bound_via_chi <= rep.bound_via_dim
-    assert rep.embedding_chi.ambient_dim == rep.bound_via_chi
-    assert verify_embedding(g, rep.embedding_chi).ok
-    assert verify_embedding(g, rep.embedding_decomposition).ok
+    via_chi, via_dim, emb_chi, emb_decomposition = _bound_report(g)
+    assert (via_chi, via_dim) == want
+    assert via_chi <= via_dim
+    assert emb_chi.ambient_dim == via_chi
+    assert verify_embedding(g, emb_chi).ok
+    assert verify_embedding(g, emb_decomposition).ok
 
 
 def test_bound_report_decomposition_within_bound():
@@ -135,14 +152,14 @@ def test_bound_report_decomposition_within_bound():
     for _ in range(30):
         n = rng.randint(1, 8)
         g = random_graph(rng, n)
-        rep = embedding_dimension_bounds(g)
-        assert rep.bound_via_chi <= rep.bound_via_dim
-        assert rep.embedding_decomposition.ambient_dim <= rep.bound_via_dim
+        via_chi, via_dim, _, emb_decomposition = _bound_report(g)
+        assert via_chi <= via_dim
+        assert emb_decomposition.ambient_dim <= via_dim
 
 
 def test_bound_report_rejects_empty():
     with pytest.raises(DomainError):
-        embedding_dimension_bounds(Graph(0, ()))
+        _bound_report(Graph(0, ()))
 
 
 def test_format_embedding_layout():

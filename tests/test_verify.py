@@ -96,6 +96,7 @@ def test_identity_suite_deterministic():
 
 def test_run_all_structure_small():
     report = run_all(cap=3)
+    assert "oracle" in SUITE_NAMES
     assert [s["suite"] for s in report["suites"]] == list(SUITE_NAMES)
     assert report["ok"] is True
     assert report["checked"] == sum(s["checked"] for s in report["suites"])
