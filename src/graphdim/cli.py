@@ -103,6 +103,8 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
     results = {}
+    if which in ("dim", "all"):
+        require_within_cap(g.n, cap, "dim_exact")
     # subdim of the full vertex set, computed once: the subdim entry, the
     # lower bound, the first dim host and the first decomposition round
     full = None
@@ -110,11 +112,7 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
         full = subdim(g, g.vertex_mask)
         results["subdim"] = _subdim_entry(g, full)
     if which in ("dim", "all"):
-        if full is None:
-            dim = dim_exact(g, cap=cap)
-        else:
-            require_within_cap(g.n, cap, "dim_exact")
-            dim = _dim_search(g, full)
+        dim = dim_exact(g, cap=cap) if full is None else _dim_search(g, full)
         results["dim"] = _dim_entry(g, dim)
     if which in ("chi", "all"):
         k, col = chromatic_number(g, cap=cap)
@@ -170,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
     p_verify.add_argument("--cap", type=int, default=None,
-                          help="max vertex count for the exhaustive sweeps (default 6)")
+                          help="theorem2/lemma2/corollary1 sweep size, 1..6 (default 6); above 6 "
+                               "exits 3, below 1 exits 2, before any sweep work; others ignore it")
 
     p_embed = sub.add_parser("embed", help="write a unit-distance embedding file")
     p_embed.add_argument("input")

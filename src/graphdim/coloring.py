@@ -114,14 +114,13 @@ def _first_fit(adj, order, within: int, colors: list[int], offset: int) -> int:
     return used
 
 
-def _greedy_order(g: Graph) -> list[int]:
-    # static order by descending degree, id as tie-break
-    return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+def _degree_order(adj, vertices) -> list[int]:
+    """`vertices` by descending degree in the whole graph, id as tie-break."""
+    return sorted(vertices, key=lambda v: (-adj[v].bit_count(), v))
 
 
-def _clique_lower_bound(adj, members: list[int]) -> int:
-    """Greedy clique among `members`; a cheap chromatic lower bound."""
-    order = sorted(members, key=lambda v: (-(adj[v]).bit_count(), v))
+def _clique_lower_bound(adj, order: list[int]) -> int:
+    """Greedy clique along `order`; a cheap chromatic lower bound."""
     clique = 0
     size = 0
     for v in order:
@@ -131,13 +130,12 @@ def _clique_lower_bound(adj, members: list[int]) -> int:
     return size
 
 
-def _color_decision(adj, members: list[int], k: int):
-    """Proper k-coloring of the subgraph on `members`, or None.
+def _color_decision(adj, order: list[int], k: int):
+    """Proper k-coloring of the subgraph on the vertices of `order`, or None.
 
-    Backtracking in descending-degree order with the usual symmetry break:
-    a vertex may open at most one new color beyond those used so far.
+    Backtracking along `order` with the usual symmetry break: a vertex may
+    open at most one new color beyond those used so far.
     """
-    order = sorted(members, key=lambda v: (-(adj[v]).bit_count(), v))
     assigned = {}
 
     def place(i: int, palette_top: int) -> bool:
@@ -165,12 +163,12 @@ def _color_decision(adj, members: list[int], k: int):
     return dict(assigned) if place(0, 0) else None
 
 
-def _chromatic(adj, members: list[int], ub: int) -> tuple[int, dict | None]:
-    """Smallest k below ub with a proper k-coloring of `members`, with that
-    coloring; (ub, None) when none exists.  A greedy clique gives the lower
-    bound and backtracking decides each candidate k in between."""
-    for k in range(_clique_lower_bound(adj, members), ub):
-        assigned = _color_decision(adj, members, k)
+def _chromatic(adj, order: list[int], ub: int) -> tuple[int, dict | None]:
+    """Smallest k below ub with a proper k-coloring of the vertices of `order`
+    (a _degree_order), with that coloring; (ub, None) when none exists.  A
+    greedy clique bounds k below and backtracking decides each candidate."""
+    for k in range(_clique_lower_bound(adj, order), ub):
+        assigned = _color_decision(adj, order, k)
         if assigned is not None:
             return k, assigned
     return ub, None
@@ -186,8 +184,9 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     require_within_cap(g.n, cap, "chromatic_number")
     if g.n == 0:
         return 0, Coloring((), 0)
-    greedy = greedy_coloring(g, _greedy_order(g))
-    k, assigned = _chromatic(g.adj, list(range(g.n)), greedy.palette_size)
+    order = _degree_order(g.adj, range(g.n))
+    greedy = greedy_coloring(g, order)
+    k, assigned = _chromatic(g.adj, order, greedy.palette_size)
     if assigned is None:
         return k, greedy
     return k, Coloring(tuple(assigned[v] for v in range(g.n)), k)
@@ -230,7 +229,7 @@ def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> in
         raise DomainError("vertex set mentions vertices outside the graph")
     require_within_cap(g.n, cap, "chromatic_number_within")
     members = bits_of(subset)
-    return _chromatic(g.adj, members, len(members))[0]
+    return _chromatic(g.adj, _degree_order(g.adj, members), len(members))[0]
 
 
 def critical_subgraph(g: Graph, cap: int | None = None) -> int:

@@ -127,9 +127,6 @@ class Graph:
                 yield v, low.bit_length() - 1
                 rest ^= low
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
 
 def _check_subset(g: Graph, subset: int) -> None:
     if subset & ~g.vertex_mask:

@@ -5,8 +5,10 @@ graphs and reports every instance with a pass/fail flag, so a run is a
 self-contained audit trail.  The exhaustive sweeps walk every labeled
 graph on up to six vertices; redundancy across isomorphic graphs is
 deliberate, since it needs no canonization and each instance stays
-independently replayable.  All randomness is seeded, so repeated runs
-produce identical reports.
+independently replayable.  The sweep suites share one cached sweep that
+checks its size first, then enumerates each graph and computes its
+invariants once.  All randomness is seeded, so repeated runs produce
+identical reports.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ from .cayley import (
     dim_via_transitivity,
 )
 from .coloring import (
+    _decompose,
     chromatic_bound_from_dim,
     chromatic_number,
     chromatic_number_within,
     critical_subgraph,
-    decomposition_coloring,
     decomposition_round_bound,
     is_proper,
     min_degree_check,
 )
 from .core import Graph, encode_graph6, hypercube_graph, max_degree_within
-from .dimension import dim_exact, subdim, subdim_naive
+from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
 from .inputs import load_input
@@ -44,6 +46,7 @@ __all__ = ["SUITE_NAMES", "enumerate_labeled_graphs", "run_suite", "run_all"]
 
 _SWEEP_LIMIT = 6          # enumerate_labeled_graphs refuses beyond this
 _IDENTITY_SEED = 20250810  # fixed so reports are byte-identical across runs
+_ORACLE_TRIALS = 200
 _EMBED_SAMPLE_STRIDE = 500
 
 
@@ -69,13 +72,25 @@ def enumerate_labeled_graphs(n: int):
 
 
 @lru_cache(maxsize=8)
-def _sweep_stats(n: int) -> list[tuple[str, int, int]]:
-    """(graph6, chromatic number, dim) for every labeled n-vertex graph."""
+def _sweep_stats(n: int) -> list[tuple]:
+    """(graph, graph6, chi, subdim certificate of V, dim) of each labeled n-vertex graph."""
     out = []
     for g in enumerate_labeled_graphs(n):
+        full = subdim(g, g.vertex_mask)
         chi = chromatic_number_within(g, g.vertex_mask)
-        out.append((encode_graph6(g), chi, dim_exact(g).value))
+        out.append((g, encode_graph6(g), chi, full, _dim_search(g, full).value))
     return out
+
+
+def _sweep(cap: int | None):
+    """The checked sweep size max_n (None means the largest) and an iterator
+    over the _sweep_stats records for n = 1..max_n; checks before any work."""
+    max_n = _SWEEP_LIMIT if cap is None else cap
+    if max_n > _SWEEP_LIMIT:
+        raise CapExceeded(f"verify sweep size must be <= {_SWEEP_LIMIT}, got {max_n}")
+    if max_n < 1:
+        raise DomainError(f"verify sweep size must be >= 1, got {max_n}")
+    return max_n, itertools.chain.from_iterable(map(_sweep_stats, range(1, max_n + 1)))
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -90,7 +105,7 @@ def _suite_report(name: str, parameters: dict, instances: list[dict]) -> dict:
         "parameters": parameters,
         "checked": len(instances),
         "failures": failures,
-        "ok": failures == 0,
+        "ok": failures == 0 and len(instances) > 0,
         "instances": instances,
     }
 
@@ -98,6 +113,16 @@ def _suite_report(name: str, parameters: dict, instances: list[dict]) -> dict:
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
+
+# (spec, closed-form subdim of V or None, closed-form dim), in report order
+_FAMILY_CASES = (
+    [(f"path:{n}", None, 1) for n in range(4, 11)]
+    + [(f"cycle:{n}", None, 1) for n in range(5, 11)]
+    + [(f"complete:{n}", None, n // 2) for n in range(2, 11)]
+    + [(f"kbip:{m},{n}", 0 if m < n else m // 2 + 1, m // 2 + 1)
+       for m in range(1, 6) for n in range(m, 6)]
+)
+
 
 def suite_examples(cap: int | None = None) -> dict:
     """Closed-form dimension values of the basic families."""
@@ -107,21 +132,12 @@ def suite_examples(cap: int | None = None) -> dict:
         instances.append({"case": case, "metric": metric, "got": got,
                           "want": want, "ok": got == want})
 
-    for n in range(4, 11):
-        g, _ = load_input(f"path:{n}")
-        check(f"path:{n}", "dim", dim_exact(g).value, 1)
-    for n in range(5, 11):
-        g, _ = load_input(f"cycle:{n}")
-        check(f"cycle:{n}", "dim", dim_exact(g).value, 1)
-    for n in range(2, 11):
-        g, _ = load_input(f"complete:{n}")
-        check(f"complete:{n}", "dim", dim_exact(g).value, n // 2)
-    for m in range(1, 6):
-        for n in range(m, 6):
-            g, _ = load_input(f"kbip:{m},{n}")
-            sub = subdim(g, g.vertex_mask).value
-            check(f"kbip:{m},{n}", "subdim", sub, 0 if m < n else m // 2 + 1)
-            check(f"kbip:{m},{n}", "dim", dim_exact(g).value, m // 2 + 1)
+    for spec, want_subdim, want_dim in _FAMILY_CASES:
+        g, _ = load_input(spec)
+        full = subdim(g, g.vertex_mask)
+        if want_subdim is not None:
+            check(spec, "subdim", full.value, want_subdim)
+        check(spec, "dim", _dim_search(g, full).value, want_dim)
     return _suite_report("examples", {}, instances)
 
 
@@ -177,63 +193,55 @@ def suite_theorem2(cap: int | None = None) -> dict:
     """Chromatic bound chi <= (dim + 1) * max(1, ceil(log2 n)) on every
     labeled graph up to the sweep cap, with the decomposition coloring
     meeting the same palette bound in at most max(1, ceil(log2 n)) rounds."""
-    max_n = _SWEEP_LIMIT if cap is None else cap
+    max_n, records = _sweep(cap)
     instances = []
-    for n in range(1, max_n + 1):
-        stats = _sweep_stats(n)
-        for g, (g6, chi, dim_value) in zip(enumerate_labeled_graphs(n), stats):
-            bound = chromatic_bound_from_dim(dim_value, n)
-            col, trace = decomposition_coloring(g)
-            ok = (chi <= bound
-                  and is_proper(g, col.colors)
-                  and col.palette_size <= bound
-                  and len(trace.rounds) <= decomposition_round_bound(n))
-            instances.append({"case": g6, "chi": chi, "dim": dim_value,
-                              "bound": bound, "palette": col.palette_size,
-                              "rounds": len(trace.rounds), "ok": ok})
+    for g, g6, chi, full, dim_value in records:
+        bound = chromatic_bound_from_dim(dim_value, g.n)
+        col, trace = _decompose(g, full)
+        ok = (chi <= bound
+              and is_proper(g, col.colors)
+              and col.palette_size <= bound
+              and len(trace.rounds) <= decomposition_round_bound(g.n))
+        instances.append({"case": g6, "chi": chi, "dim": dim_value,
+                          "bound": bound, "palette": col.palette_size,
+                          "rounds": len(trace.rounds), "ok": ok})
     return _suite_report("theorem2", {"max_n": max_n}, instances)
 
 
 def suite_lemma2(cap: int | None = None) -> dict:
     """Critical subgraphs keep the chromatic number and have min degree
     at least chi - 1, on every labeled graph up to the sweep cap."""
-    max_n = _SWEEP_LIMIT if cap is None else cap
+    max_n, records = _sweep(cap)
     instances = []
-    for n in range(1, max_n + 1):
-        stats = _sweep_stats(n)
-        for g, (g6, chi, _) in zip(enumerate_labeled_graphs(n), stats):
-            core = critical_subgraph(g)
-            preserved = chromatic_number_within(g, core) == chi
-            degrees_ok = min_degree_check(g, core)
-            instances.append({"case": g6, "chi": chi,
-                              "critical_size": core.bit_count(),
-                              "chi_preserved": preserved,
-                              "min_degree_ok": degrees_ok,
-                              "ok": preserved and degrees_ok})
+    for g, g6, chi, _, _ in records:
+        core = critical_subgraph(g)
+        preserved = chromatic_number_within(g, core) == chi
+        degrees_ok = min_degree_check(g, core)
+        instances.append({"case": g6, "chi": chi,
+                          "critical_size": core.bit_count(),
+                          "chi_preserved": preserved,
+                          "min_degree_ok": degrees_ok,
+                          "ok": preserved and degrees_ok})
     return _suite_report("lemma2", {"max_n": max_n}, instances)
 
 
 def suite_corollary1(cap: int | None = None) -> dict:
     """2*chi never exceeds 2*(dim+1)*max(1, ceil(log2 n)) on the sweep, and
     sampled graphs get their coloring-based embedding built and verified."""
-    max_n = _SWEEP_LIMIT if cap is None else cap
+    max_n, records = _sweep(cap)
     instances = []
-    counter = 0
-    for n in range(1, max_n + 1):
-        stats = _sweep_stats(n)
-        for g, (g6, chi, dim_value) in zip(enumerate_labeled_graphs(n), stats):
-            via_chi = 2 * chi
-            via_dim = 2 * chromatic_bound_from_dim(dim_value, n)
-            instances.append({"case": g6, "bound_via_chi": via_chi,
-                              "bound_via_dim": via_dim, "ok": via_chi <= via_dim})
-            if counter % _EMBED_SAMPLE_STRIDE == 0:
-                _, col = chromatic_number(g)
-                report = verify_embedding(g, unit_distance_embed(g, col))
-                instances.append({"case": g6, "ambient": report.ambient_dim,
-                                  "want_ambient": 2 * chi,
-                                  "max_edge_error": report.max_edge_error,
-                                  "ok": report.ok and report.ambient_dim == 2 * chi})
-            counter += 1
+    for counter, (g, g6, chi, _, dim_value) in enumerate(records):
+        via_chi = 2 * chi
+        via_dim = 2 * chromatic_bound_from_dim(dim_value, g.n)
+        instances.append({"case": g6, "bound_via_chi": via_chi,
+                          "bound_via_dim": via_dim, "ok": via_chi <= via_dim})
+        if counter % _EMBED_SAMPLE_STRIDE == 0:
+            _, col = chromatic_number(g)
+            report = verify_embedding(g, unit_distance_embed(g, col))
+            instances.append({"case": g6, "ambient": report.ambient_dim,
+                              "want_ambient": 2 * chi,
+                              "max_edge_error": report.max_edge_error,
+                              "ok": report.ok and report.ambient_dim == 2 * chi})
     return _suite_report("corollary1", {"max_n": max_n}, instances)
 
 
@@ -274,7 +282,7 @@ def suite_identity(cap: int | None = None) -> dict:
     return _suite_report("identity", {"seed": _IDENTITY_SEED, "trials": 100}, instances)
 
 
-def suite_oracle(cap: int | None = None, trials: int = 200) -> dict:
+def suite_oracle(cap: int | None = None) -> dict:
     """Branch-and-bound solver against the brute-force oracle: identical
     certificates on the family graphs and on seeded random graphs."""
     rng = random.Random(_IDENTITY_SEED + 1)
@@ -287,26 +295,20 @@ def suite_oracle(cap: int | None = None, trials: int = 200) -> dict:
                           "witness_match": fast == slow,
                           "ok": fast == slow})
 
-    for n in range(4, 11):
-        check(f"path:{n}", load_input(f"path:{n}")[0])
-    for n in range(5, 11):
-        check(f"cycle:{n}", load_input(f"cycle:{n}")[0])
-    for n in range(2, 11):
-        check(f"complete:{n}", load_input(f"complete:{n}")[0])
-    for m in range(1, 6):
-        for n in range(m, 6):
-            check(f"kbip:{m},{n}", load_input(f"kbip:{m},{n}")[0])
+    for spec, _, _ in _FAMILY_CASES:
+        check(spec, load_input(spec)[0])
     for n in (1, 2, 3, 4):
         check(f"cube:{n}", hypercube_graph(n))
     for case in _prop1_cases():
         check(case, load_input(case)[0])
-    for trial in range(trials):
+    for trial in range(_ORACLE_TRIALS):
         n = rng.randint(1, 10)
         p = rng.choice((0.2, 0.5, 0.8))
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         g = Graph.from_edges(n, edges)
         check(f"random n={n} p={p} #{trial:03d} {encode_graph6(g)}", g)
-    return _suite_report("oracle", {"seed": _IDENTITY_SEED + 1, "trials": trials}, instances)
+    return _suite_report("oracle", {"seed": _IDENTITY_SEED + 1, "trials": _ORACLE_TRIALS},
+                         instances)
 
 
 _SUITES = {
@@ -331,6 +333,7 @@ def run_suite(name: str, cap: int | None = None) -> dict:
 
 
 def run_all(cap: int | None = None) -> dict:
+    _sweep(cap)  # reject a bad sweep size before any suite runs
     suites = [_SUITES[name](cap) for name in SUITE_NAMES]
     return {
         "suite": "all",

@@ -25,8 +25,7 @@ from graphdim.core import (
 )
 from graphdim.dimension import dim_exact, subdim
 from graphdim.embedding import unit_distance_embed, verify_embedding
-from graphdim.verify import enumerate_labeled_graphs, run_suite
-from graphdim.verify import _sweep_stats
+from graphdim.verify import _sweep_stats, enumerate_labeled_graphs, run_suite
 
 
 def _ceil_sqrt(n):
@@ -167,7 +166,7 @@ def test_criterion_8_embeddings_and_doubled_bound():
         ok &= emb.ambient_dim == 2 * chi
     # the doubled chromatic bound, exhaustively on the n<=6 sweep
     for n in range(1, 7):
-        for _, chi, dim_value in _sweep_stats(n):
+        for _, _, chi, _, dim_value in _sweep_stats(n):
             ok &= 2 * chi <= 2 * (dim_value + 1) * max(1, (n - 1).bit_length())
     elapsed = time.perf_counter() - start
     _stamp("8 embeddings + doubled bound", ok and elapsed < 60, elapsed)

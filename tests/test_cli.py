@@ -12,7 +12,7 @@ from graphdim import dimension
 from graphdim.cli import cmd_compute
 from graphdim.coloring import is_proper
 from graphdim.core import hypercube_graph, max_degree_within, mask_of, parse_graph6
-from graphdim.errors import DomainError
+from graphdim.errors import CapExceeded, DomainError
 
 
 def run_cli(*args, env=None):
@@ -158,6 +158,12 @@ def test_verify_sweep_cap_exit_3():
     assert proc.returncode == 3
 
 
+def test_verify_sweep_size_below_1_exit_2():
+    proc = run_cli("verify", "theorem2", "--cap", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
 def test_verify_violation_maps_to_exit_1(monkeypatch):
     import graphdim.cli as cli
     monkeypatch.setattr(cli, "run_suite",
@@ -258,3 +264,12 @@ def test_compute_all_scans_the_full_vertex_set_once(monkeypatch):
     monkeypatch.setattr(dimension, "subdim_exists", counting)
     report = cmd_compute("cycle:9", "all")
     assert full_calls == report["results"]["subdim"]["value"] + 1
+
+
+def test_compute_checks_the_dim_cap_before_any_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched before checking the cap")
+
+    monkeypatch.setattr(dimension, "subdim_exists", refuse)
+    with pytest.raises(CapExceeded):
+        cmd_compute("cube:5", "all")

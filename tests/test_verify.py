@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
+from graphdim import coloring, verify
 from graphdim.coloring import chromatic_number_within
 from graphdim.core import Graph, encode_graph6
-from graphdim.dimension import dim_exact
+from graphdim.dimension import dim_exact, subdim
 from graphdim.errors import CapExceeded, DomainError
 from graphdim.verify import (
     SUITE_NAMES,
@@ -37,10 +39,82 @@ def test_enumeration_cap():
 def test_sweep_stats_consistent():
     stats = _sweep_stats(4)
     assert len(stats) == 64
-    for g, (g6, chi, dim_value) in zip(enumerate_labeled_graphs(4), stats):
+    for want, (g, g6, chi, full, dim_value) in zip(enumerate_labeled_graphs(4), stats):
+        assert g == want
         assert encode_graph6(g) == g6
         assert chromatic_number_within(g, g.vertex_mask) == chi
+        assert subdim(g, g.vertex_mask) == full
         assert dim_exact(g).value == dim_value
+
+
+# sha256 of the compact sorted-key JSON of run_suite(name, cap) plus a newline
+_SUITE_DIGESTS = {
+    ("examples", None): "aae663a1e8dc872d4ea28a6f1bee1ea882ad968ba3fea4e3ef587413e13666e5",
+    ("oracle", None): "e6b2e43918fc146c95f6010c2e2b161ec6468526b03cac1e35198367dcc59e31",
+    ("theorem2", 4): "eccd8688925c2df65a9bdeb105c486d79a601ab098998c4ba87ce4dfc9477a58",
+    ("lemma2", 4): "5d99c50afaac39ea29cfaf43b6d3b8adf95f392b2ee5134301cde2d2df8e55fd",
+    ("corollary1", 4): "575341a6f21e7f9fa90722df799cab1513c73c3b0b5921dbd147f674d10f756f",
+}
+
+
+@pytest.mark.parametrize("name,cap", list(_SUITE_DIGESTS))
+def test_suite_report_digests(name, cap):
+    text = json.dumps(run_suite(name, cap), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == _SUITE_DIGESTS[name, cap]
+
+
+def test_sweep_suites_enumerate_and_solve_each_graph_once(monkeypatch):
+    enumerations = 0
+    full_subdims = 0
+    real_enumerate = verify.enumerate_labeled_graphs
+
+    def counting_enumerate(n):
+        nonlocal enumerations
+        enumerations += 1
+        return real_enumerate(n)
+
+    def counting_subdim(g, subset):
+        nonlocal full_subdims
+        full_subdims += subset == g.vertex_mask
+        return subdim(g, subset)
+
+    monkeypatch.setattr(verify, "enumerate_labeled_graphs", counting_enumerate)
+    monkeypatch.setattr(verify, "subdim", counting_subdim)
+    monkeypatch.setattr(coloring, "subdim", counting_subdim)
+    _sweep_stats.cache_clear()
+    try:
+        for name in ("theorem2", "lemma2", "corollary1"):
+            assert run_suite(name, 4)["ok"] is True
+    finally:
+        _sweep_stats.cache_clear()  # drop records built under the patches
+    assert enumerations == 4
+    assert full_subdims == 1 + 2 + 8 + 64
+
+
+def _refuse(*args):
+    raise AssertionError("work began before the sweep size was checked")
+
+
+@pytest.mark.parametrize("name", ["theorem2", "lemma2", "corollary1"])
+def test_sweep_size_checked_before_any_work(name, monkeypatch):
+    monkeypatch.setattr(verify, "enumerate_labeled_graphs", _refuse)
+    with pytest.raises(CapExceeded):
+        run_suite(name, 7)
+    with pytest.raises(DomainError):
+        run_suite(name, 0)
+
+
+def test_run_all_checks_sweep_size_before_any_suite(monkeypatch):
+    monkeypatch.setattr(verify, "_SUITES", dict.fromkeys(SUITE_NAMES, _refuse))
+    with pytest.raises(CapExceeded):
+        run_all(7)
+    with pytest.raises(DomainError):
+        run_all(0)
+
+
+def test_empty_audit_fails():
+    report = verify._suite_report("empty", {}, [])
+    assert report["checked"] == 0 and report["ok"] is False
 
 
 def test_unknown_suite_rejected():
