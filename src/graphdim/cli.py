@@ -103,8 +103,8 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
     results = {}
-    if which in ("dim", "all"):
-        require_within_cap(g.n, cap, "dim_exact")
+    if which != "chi":  # chromatic_number checks its own cap
+        require_within_cap(g.n, cap, "subdim" if which == "subdim" else "dim_exact")
     # subdim of the full vertex set, computed once: the subdim entry, the
     # lower bound, the first dim host and the first decomposition round
     full = None

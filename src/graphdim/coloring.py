@@ -130,47 +130,45 @@ def _clique_lower_bound(adj, order: list[int]) -> int:
     return size
 
 
-def _color_decision(adj, order: list[int], k: int):
-    """Proper k-coloring of the subgraph on the vertices of `order`, or None.
+def _color_decision(adj, order: list[int], k: int) -> list[int] | None:
+    """Proper k-coloring of the subgraph on the vertices of `order` as its
+    color classes (bitset c holds the vertices of color c), or None.
 
-    Backtracking along `order` with the usual symmetry break: a vertex may
-    open at most one new color beyond those used so far.
+    Backtracking along `order` whose only state is the class bitsets: v
+    fits class c iff adj[v] & classes[c] == 0.  The usual symmetry break:
+    after the open classes, a vertex may open one new class.
     """
-    assigned = {}
+    classes = []
 
-    def place(i: int, palette_top: int) -> bool:
+    def place(i: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        used = 0
-        rest = adj[v]
-        while rest:
-            low = rest & -rest
-            c = assigned.get(low.bit_length() - 1)
-            if c is not None:
-                used |= 1 << c
-            rest ^= low
-        limit = min(k, palette_top + 1)
-        for c in range(limit):
-            if used >> c & 1:
-                continue
-            assigned[v] = c
-            if place(i + 1, max(palette_top, c + 1)):
+        bit = 1 << v
+        for c in range(len(classes)):
+            if adj[v] & classes[c] == 0:
+                classes[c] |= bit
+                if place(i + 1):
+                    return True
+                classes[c] ^= bit
+        if len(classes) < k:
+            classes.append(bit)
+            if place(i + 1):
                 return True
-            del assigned[v]
+            classes.pop()
         return False
 
-    return dict(assigned) if place(0, 0) else None
+    return classes if place(0) else None
 
 
-def _chromatic(adj, order: list[int], ub: int) -> tuple[int, dict | None]:
+def _chromatic(adj, order: list[int], ub: int) -> tuple[int, list[int] | None]:
     """Smallest k below ub with a proper k-coloring of the vertices of `order`
-    (a _degree_order), with that coloring; (ub, None) when none exists.  A
-    greedy clique bounds k below and backtracking decides each candidate."""
+    (a _degree_order), with its color classes; (ub, None) when none exists.
+    A greedy clique bounds k below and backtracking decides each candidate."""
     for k in range(_clique_lower_bound(adj, order), ub):
-        assigned = _color_decision(adj, order, k)
-        if assigned is not None:
-            return k, assigned
+        classes = _color_decision(adj, order, k)
+        if classes is not None:
+            return k, classes
     return ub, None
 
 
@@ -186,10 +184,11 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
         return 0, Coloring((), 0)
     order = _degree_order(g.adj, range(g.n))
     greedy = greedy_coloring(g, order)
-    k, assigned = _chromatic(g.adj, order, greedy.palette_size)
-    if assigned is None:
+    k, classes = _chromatic(g.adj, order, greedy.palette_size)
+    if classes is None:
         return k, greedy
-    return k, Coloring(tuple(assigned[v] for v in range(g.n)), k)
+    colors = tuple(next(c for c, m in enumerate(classes) if m >> v & 1) for v in range(g.n))
+    return k, Coloring(colors, k)
 
 
 def _chi_table(adj, n: int) -> list[int]:

@@ -249,6 +249,12 @@ def _g6_header(data: bytes):
     return n, data[1:]
 
 
+def _g6_pairs(n: int):
+    """The graph6 bit order: the upper triangle column by column, (i, j) with
+    j = 1..n-1 and i = 0..j-1."""
+    return ((i, j) for j in range(1, n) for i in range(j))
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph in graph6 format (optionally prefixed '>>graph6<<')."""
     line = text.strip()
@@ -263,28 +269,17 @@ def parse_graph6(text: str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {expect} for n={n}")
-    adj = [0] * n
-    pos = 0
     for b in body:
-        val = b - 63
-        if val < 0 or val > 63:
+        if not 63 <= b <= 126:
             raise ParseError(f"graph6 body byte {b} out of range")
-        for k in range(5, -1, -1):
-            if pos >= nbits:
-                if val >> k & 1:
-                    raise ParseError("nonzero padding bits in graph6 body")
-                continue
-            if val >> k & 1:
-                # column-major upper triangle: bit `pos` is the pair (i, j)
-                j = 1
-                acc = pos
-                while acc >= j:
-                    acc -= j
-                    j += 1
-                i = acc
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos += 1
+    bits = "".join(format(b - 63, "06b") for b in body)
+    if "1" in bits[nbits:]:
+        raise ParseError("nonzero padding bits in graph6 body")
+    adj = [0] * n
+    for (i, j), bit in zip(_g6_pairs(n), bits):
+        if bit == "1":
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 
@@ -297,18 +292,9 @@ def encode_graph6(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(g.adj[i] >> j & 1)
-    body = []
-    for idx in range(0, len(bits), 6):
-        chunk = bits[idx:idx + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        body.append(val + 63)
+    bits = "".join("1" if g.adj[i] >> j & 1 else "0" for i, j in _g6_pairs(n))
+    bits += "0" * (-len(bits) % 6)
+    body = [int(bits[k:k + 6], 2) + 63 for k in range(0, len(bits), 6)]
     return bytes(head + body).decode("ascii")
 
 

@@ -69,8 +69,10 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     Branch and bound over include/exclude decisions per vertex, highest
     vertex first with the exclude branch explored before the include
     branch, which makes complete selections appear in increasing numeric
-    order.  A branch dies when an included vertex would exceed d included
-    neighbors, or when the vertices still available cannot reach size s.
+    order.  The only search state is the bitset of included vertices; a
+    vertex's included-neighbor count is read as |adj[v] & included|.  A
+    branch dies when an included vertex would exceed d included neighbors,
+    or when the vertices still available cannot reach size s.
     """
     if subset & ~g.vertex_mask:
         raise DomainError("vertex set mentions vertices outside the graph")
@@ -83,15 +85,13 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     if s == 0:
         return 0
     adj = g.adj
-    # counts[u] = number of already-included neighbors of u, for every vertex
-    counts = [0] * g.n
     included = 0
 
     def viable(idx: int) -> int:
         # undecided members whose included-neighbor count still permits inclusion
         alive = 0
         for i in range(idx + 1):
-            if counts[members[i]] <= d:
+            if (adj[members[i]] & included).bit_count() <= d:
                 alive += 1
         return alive
 
@@ -105,28 +105,18 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
         found = dfs(idx - 1, size)  # exclude first: keeps masks ascending
         if found is not None:
             return found
-        if counts[v] <= d:  # counts[v] == |adj[v] & included| by the invariant
-            rest = adj[v] & included
+        rest = adj[v] & included
+        if rest.bit_count() <= d:
             while rest:
                 low = rest & -rest
-                if counts[low.bit_length() - 1] >= d:
+                if (adj[low.bit_length() - 1] & included).bit_count() >= d:
                     return None  # some included neighbor would exceed d
                 rest ^= low
             included |= 1 << v
-            rest = adj[v]
-            while rest:
-                low = rest & -rest
-                counts[low.bit_length() - 1] += 1
-                rest ^= low
             found = dfs(idx - 1, size + 1)
             if found is not None:
                 return found
             included ^= 1 << v
-            rest = adj[v]
-            while rest:
-                low = rest & -rest
-                counts[low.bit_length() - 1] -= 1
-                rest ^= low
         return None
 
     return dfs(k - 1, 0)

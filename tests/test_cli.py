@@ -273,3 +273,12 @@ def test_compute_checks_the_dim_cap_before_any_search(monkeypatch):
     monkeypatch.setattr(dimension, "subdim_exists", refuse)
     with pytest.raises(CapExceeded):
         cmd_compute("cube:5", "all")
+
+
+def test_compute_checks_the_subdim_cap_before_any_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched before checking the cap")
+
+    monkeypatch.setattr(dimension, "subdim_exists", refuse)
+    with pytest.raises(CapExceeded):
+        cmd_compute("cube:5", "subdim")

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import graphdim.core as core
 from graphdim.core import (
@@ -221,6 +222,41 @@ def test_graph6_rejects_dirty_padding():
     # K_2's body byte with a nonzero padding bit
     with pytest.raises(ParseError):
         parse_graph6("A" + chr(95 + 1))
+
+
+_PROPERTY = settings(derandomize=True, database=None)
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 70))
+    p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+
+
+@_PROPERTY
+@given(_graphs())
+@example(complete_graph(62))  # the last one-byte size header
+@example(complete_graph(63))  # the first four-byte size header
+def test_graph6_round_trip_property(g):
+    assert parse_graph6(encode_graph6(g)) == g
+
+
+def _sized_graph6(n):
+    # a one-byte size header and a body of the length it asks for, with
+    # bytes near the valid range 63..126
+    size = (n * (n - 1) // 2 + 5) // 6
+    body = st.text(st.characters(min_codepoint=60, max_codepoint=127), min_size=size, max_size=size)
+    return body.map(lambda b: chr(n + 63) + b)
+
+
+@_PROPERTY
+@given(st.one_of(st.text(st.characters(max_codepoint=127)), st.integers(0, 12).flatmap(_sized_graph6)))
+def test_graph6_parser_raises_only_its_errors(text):
+    try:
+        parse_graph6(text)
+    except (ParseError, DomainError):
+        pass
 
 
 # ---------------------------------------------------------------------------

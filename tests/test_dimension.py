@@ -104,6 +104,18 @@ def test_subdim_exists_returns_smallest_mask():
         want = next((m for m in subsets_of_mask(g.vertex_mask, s)
                      if max_degree_within(g, m) <= d), None)
         assert got == want
+    # arbitrary, usually non-contiguous hosts: members are indexed apart
+    # from vertex ids, and every d up to the maximum degree
+    for _ in range(1000):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+        host = rng.randint(1, g.vertex_mask)
+        s = rng.randint(0, host.bit_count())
+        d = rng.randint(0, g.max_degree())
+        got = subdim_exists(g, host, s, d)
+        want = next((m for m in subsets_of_mask(host, s)
+                     if max_degree_within(g, m) <= d), None)
+        assert got == want
 
 
 def test_subdim_matches_known_values():
@@ -140,7 +152,7 @@ def test_certificates_replay():
 
 def test_oracle_equivalence_random_graphs():
     rng = random.Random(23)
-    for _ in range(200):
+    for _ in range(1000):
         n = rng.randint(1, 10)
         g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
         host = 0
