@@ -99,12 +99,13 @@ def _embedding_entry(report) -> dict:
 
 def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     g, descriptor = load_input(spec)
+    # refuse before any work on g, graph6 encoding included
+    what = {"subdim": "subdim", "chi": "chromatic_number"}.get(which, "dim_exact")
+    require_within_cap(g.n, cap, what)
     report = dict(descriptor)
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
     results = {}
-    if which != "chi":  # chromatic_number checks its own cap
-        require_within_cap(g.n, cap, "subdim" if which == "subdim" else "dim_exact")
     # subdim of the full vertex set, computed once: the subdim entry, the
     # lower bound, the first dim host and the first decomposition round
     full = None

@@ -33,8 +33,6 @@ __all__ = [
     "chromatic_bound_from_dim",
 ]
 
-_CHI_TABLE_MAX_N = 12  # 3^n submask walk; beyond this use per-query decisions
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -191,37 +189,6 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     return k, Coloring(colors, k)
 
 
-def _chi_table(adj, n: int) -> list[int]:
-    """Chromatic number of every induced subgraph, indexed by vertex bitset.
-
-    chi(S) = 1 + min over independent sets I containing the lowest vertex
-    of S of chi(S \\ I); submask-walk dynamic program, fine for n <= 12.
-    """
-    size = 1 << n
-    independent = bytearray(size)
-    independent[0] = 1
-    for m in range(1, size):
-        low = m & -m
-        v = low.bit_length() - 1
-        independent[m] = 1 if independent[m ^ low] and adj[v] & m == 0 else 0
-    chi = [0] * size
-    for m in range(1, size):
-        low = m & -m
-        rest = m ^ low
-        best = n + 1
-        t = rest
-        while True:
-            if independent[t | low]:
-                c = chi[m ^ (t | low)] + 1
-                if c < best:
-                    best = c
-            if t == 0:
-                break
-            t = (t - 1) & rest
-        chi[m] = best
-    return chi
-
-
 def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> int:
     """Chromatic number of the subgraph induced by `subset` (value only)."""
     if subset & ~g.vertex_mask:
@@ -235,31 +202,24 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
     """A chromatic-critical induced subgraph: same chromatic number as g,
     and removing any single vertex lowers it.
 
-    Scans vertices in ascending id order, drops the first whose removal
-    keeps the chromatic number, and restarts until nothing is removable.
+    One pass in ascending id order drops each vertex whose removal keeps
+    the chromatic number.  Removing vertices never raises it, so a vertex
+    kept once stays unremovable from every later, smaller subset and no
+    second pass is needed.  The current subset always has chi = target, so
+    dropping v keeps it iff the rest has no proper (target - 1)-coloring:
+    one decision per vertex, along the global degree order of the rest.
     """
     require_within_cap(g.n, cap, "critical_subgraph")
     if g.n == 0:
         raise DomainError("critical subgraph of the empty graph is undefined")
-    if g.n <= _CHI_TABLE_MAX_N:
-        table = _chi_table(g.adj, g.n)
-
-        def chi(m: int) -> int:
-            return table[m]
-    else:
-        def chi(m: int) -> int:
-            return chromatic_number_within(g, m, cap=cap)
+    order = _degree_order(g.adj, range(g.n))
+    target = _chromatic(g.adj, order, g.n)[0]
     subset = g.vertex_mask
-    target = chi(subset)
-    changed = True
-    while changed:
-        changed = False
-        for v in bits_of(subset):
-            smaller = subset ^ (1 << v)
-            if chi(smaller) == target:
-                subset = smaller
-                changed = True
-                break
+    for v in range(g.n):
+        smaller = subset ^ (1 << v)
+        rest = [u for u in order if smaller >> u & 1]
+        if _color_decision(g.adj, rest, target - 1) is None:
+            subset = smaller
     return subset
 
 

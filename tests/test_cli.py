@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from graphdim import dimension
+from graphdim import cli, dimension
 from graphdim.cli import cmd_compute
 from graphdim.coloring import is_proper
 from graphdim.core import hypercube_graph, max_degree_within, mask_of, parse_graph6
@@ -282,3 +282,13 @@ def test_compute_checks_the_subdim_cap_before_any_search(monkeypatch):
     monkeypatch.setattr(dimension, "subdim_exists", refuse)
     with pytest.raises(CapExceeded):
         cmd_compute("cube:5", "subdim")
+
+
+@pytest.mark.parametrize("which", ["subdim", "dim", "chi", "all"])
+def test_compute_checks_the_cap_before_encoding_graph6(monkeypatch, which):
+    def refuse(g):
+        raise AssertionError("encoded graph6 before checking the cap")
+
+    monkeypatch.setattr(cli, "encode_graph6", refuse)
+    with pytest.raises(CapExceeded):
+        cmd_compute("cube:12", which)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import graphdim.coloring as coloring
 from graphdim.coloring import (
     Coloring,
     chromatic_bound_from_dim,
@@ -17,7 +18,6 @@ from graphdim.coloring import (
     is_proper,
     min_degree_check,
 )
-from graphdim.coloring import _chi_table
 from graphdim.core import (
     Graph,
     bits_of,
@@ -151,16 +151,39 @@ def test_chromatic_cap():
         chromatic_number(Graph(17, (0,) * 17))
 
 
-def test_chi_table_matches_backtracking():
+def _chi_by_partitions(g, subset):
+    """Fewest blocks over every partition of `subset` into independent sets."""
+    best = subset.bit_count()
+
+    def extend(rest, blocks):
+        nonlocal best
+        if not rest:
+            best = min(best, len(blocks))
+            return
+        v, bit = rest[0], 1 << rest[0]
+        for i, block in enumerate(blocks):
+            if g.adj[v] & block == 0:
+                extend(rest[1:], blocks[:i] + [block | bit] + blocks[i + 1:])
+        extend(rest[1:], blocks + [bit])
+
+    extend(bits_of(subset), [])
+    return best
+
+
+def test_chromatic_matches_partition_oracle():
     rng = random.Random(42)
     for _ in range(60):
         n = rng.randint(1, 7)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        table = _chi_table(g.adj, n)
-        assert table[g.vertex_mask] == chromatic_number(g)[0]
+        chi = _chi_by_partitions(g, g.vertex_mask)
+        assert chromatic_number(g)[0] == chi
         for _ in range(8):
             sub = rng.getrandbits(n)
-            assert table[sub] == chromatic_number_within(g, sub)
+            assert chromatic_number_within(g, sub) == _chi_by_partitions(g, sub)
+        core = critical_subgraph(g)
+        assert _chi_by_partitions(g, core) == chi
+        for v in bits_of(core):
+            assert _chi_by_partitions(g, core ^ (1 << v)) == chi - 1
 
 
 def test_chromatic_within_respects_subset():
@@ -204,11 +227,47 @@ def test_critical_preserves_chi_and_is_critical():
 
 
 def test_critical_beyond_table_fast_path():
-    # 13 vertices exercises the decision-based route
+    # a 13-cycle: each vertex is decided once and none can be removed
     g = Graph.from_edges(13, [(i, i + 1) for i in range(12)] + [(12, 0)])
     core = critical_subgraph(g)
     assert chromatic_number_within(g, core) == 3
     assert core == g.vertex_mask  # odd cycles are already critical
+
+
+# sha256 of the JSON list of critical_subgraph masks over 144 seeded graphs,
+# n = 1..16 at densities 0.3, 0.5 and 0.8; 124 of the masks are proper subsets
+_CRITICAL_DIGEST = "c97dd277916ad21144ea4b2c9ca2d8a3e640f26054c09eab3eb85211a0c4270a"
+
+
+def test_critical_subgraphs_pinned():
+    rng = random.Random(48)
+    graphs = [random_graph(rng, n, p)
+              for n in range(1, 17) for p in (0.3, 0.5, 0.8) for _ in range(3)]
+    text = json.dumps([critical_subgraph(g) for g in graphs])
+    assert hashlib.sha256(text.encode()).hexdigest() == _CRITICAL_DIGEST
+
+
+def test_critical_subgraph_one_decision_per_vertex(monkeypatch):
+    # chi of V once, as chromatic_number_within computes it, then one
+    # (chi - 1)-coloring decision per vertex
+    calls = 0
+    real = coloring._color_decision
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(coloring, "_color_decision", counting)
+    rng = random.Random(49)
+    for p in (0.3, 0.5, 0.8):
+        g = random_graph(rng, 14, p)
+        calls = 0
+        chromatic_number_within(g, g.vertex_mask)
+        chi_calls = calls
+        calls = 0
+        critical_subgraph(g)
+        assert calls == g.n + chi_calls
 
 
 def test_min_degree_check_examples():

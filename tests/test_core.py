@@ -26,6 +26,7 @@ from graphdim.core import (
     subsets_of_mask,
     subsets_of_size,
 )
+from graphdim.dimension import subdim, subdim_naive
 from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input
 
@@ -228,8 +229,8 @@ _PROPERTY = settings(derandomize=True, database=None)
 
 
 @st.composite
-def _graphs(draw):
-    n = draw(st.integers(0, 70))
+def _graphs(draw, max_n=70):
+    n = draw(st.integers(0, max_n))
     p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
     return random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
 
@@ -257,6 +258,42 @@ def test_graph6_parser_raises_only_its_errors(text):
         parse_graph6(text)
     except (ParseError, DomainError):
         pass
+
+
+@_PROPERTY
+@given(_graphs(40))
+def test_edge_list_round_trip_property(g):
+    assert parse_edge_list(format_edge_list(g)) == g
+
+
+# edge-list-shaped text: lines of zero to three tokens, each a small integer
+# or up to three ASCII characters, so the first line is often a lone count
+_edge_list_token = st.one_of(st.integers(-3, 12).map(str),
+                             st.text(st.characters(max_codepoint=127), max_size=3))
+_edge_list_text = st.lists(st.lists(_edge_list_token, max_size=3).map(" ".join),
+                           max_size=8).map("\n".join)
+
+
+@_PROPERTY
+@given(st.one_of(st.text(st.characters(max_codepoint=127)), _edge_list_text))
+def test_edge_list_parser_raises_only_its_errors(text):
+    try:
+        parse_edge_list(text)
+    except (ParseError, DomainError):
+        pass
+
+
+@st.composite
+def _graph_and_host(draw):
+    g = draw(_graphs(10).filter(lambda g: g.n > 0))
+    return g, draw(st.integers(1, g.vertex_mask))  # a nonempty host
+
+
+@_PROPERTY
+@given(_graph_and_host())
+def test_subdim_matches_naive_property(case):
+    g, host = case
+    assert subdim(g, host) == subdim_naive(g, host)
 
 
 # ---------------------------------------------------------------------------
