@@ -78,9 +78,8 @@ class Graph:
             raise DomainError(f"vertex count must be >= 0, got {self.n}")
         if len(self.adj) != self.n:
             raise DomainError(f"adjacency has {len(self.adj)} rows for n={self.n}")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:  # O(len(row)); masking with ~full costs O(n) per row
                 raise DomainError(f"adjacency row of {v} mentions vertices >= {self.n}")
             if row >> v & 1:
                 raise DomainError(f"self-loop at vertex {v}")

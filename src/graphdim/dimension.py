@@ -171,12 +171,17 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     """Maximum of subdim over all nonempty vertex subsets, exactly.
 
     Hosts are enumerated by decreasing size (the full vertex set first,
-    which tends to set a strong incumbent immediately).  A host S is
-    skipped when its induced max degree is at most the incumbent, since
-    subdim never exceeds it; surviving hosts first get a single decision
-    call at the incumbent bound and only on failure is their exact value
-    computed.  The reported witness is the first host, in this order, that
-    reached the final value.
+    which tends to set a strong incumbent immediately).  Apart from the
+    full vertex set only even-size hosts are scanned: for an odd-size
+    proper host S and a vertex u outside it, every majority subset of S+u
+    contains a majority subset of S, so subdim(S+u) >= subdim(S), and S+u
+    comes earlier in the scan; an odd host can therefore never raise the
+    maximum or become its witness.  A host S is skipped when its induced
+    max degree is at most the incumbent, since subdim never exceeds it;
+    surviving hosts first get a single decision call at the incumbent
+    bound and only on failure is their exact value computed.  The reported
+    witness is the first host, in order of decreasing size and then
+    ascending mask, that reached the final value.
     """
     require_within_cap(g.n, cap, "dim_exact")
     if g.n == 0:
@@ -190,7 +195,9 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
     best = full.value
     best_host = g.vertex_mask
     best_inner = full
-    for size in range(g.n - 1, 0, -1):
+    # An odd proper host S and u outside it: every majority of S+u holds a
+    # majority of S, so S+u, scanned earlier, already bounds subdim(S).
+    for size in range((g.n - 1) & ~1, 0, -2):
         s = size // 2 + 1
         for host in subsets_of_size(g.n, size):
             if _induced_max_degree(adj, host) <= best:

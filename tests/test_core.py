@@ -53,8 +53,9 @@ def test_graph_rejects_self_loop():
 
 
 def test_graph_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        Graph(2, (0b100, 0))
+    for row in (0b100, 1 << 200, -1):
+        with pytest.raises(DomainError, match="row of 0 mentions vertices >= 2"):
+            Graph(2, (row, 0))
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 2)])
 

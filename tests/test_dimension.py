@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from graphdim import dimension
 from graphdim.core import (
     Graph,
     bits_of,
@@ -277,15 +279,48 @@ def test_dim_isomorphism_invariant():
 
 
 def test_dim_exhaustive_definition_small():
-    # literal double enumeration: max over hosts of min over majority subsets
+    # literal double enumeration: max over hosts of min over majority subsets;
+    # the witness is the first maximizing host by decreasing size, then mask
     rng = random.Random(30)
     for _ in range(25):
-        n = rng.randint(1, 7)
+        n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
-        literal = 0
-        for host in range(1, 1 << n):
-            literal = max(literal, subdim_naive(g, host).value)
-        assert dim_exact(g).value == literal
+        hosts = sorted(range(1, 1 << n), key=lambda host: (-host.bit_count(), host))
+        values = [subdim_naive(g, host).value for host in hosts]
+        literal = max(values)
+        cert = dim_exact(g)
+        assert cert.value == literal
+        assert cert.witness_max == hosts[values.index(literal)]
+        assert cert.inner == subdim_naive(g, cert.witness_max)
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.5, 0.8]),
+    st.sampled_from(range(1, n, 2)), st.permutations(range(n)))))
+def test_odd_host_grows_by_one_vertex_property(case):
+    # why dim_exact scans no odd proper host: adding any outside vertex u
+    # to an odd host S cannot lower subdim, and S+u is scanned before S
+    seed, p, size, order = case
+    g = random_graph(random.Random(seed), len(order), p)
+    host = mask_of(order[:size])
+    grown = host | 1 << order[size]
+    assert subdim_naive(g, grown).value >= subdim_naive(g, host).value
+
+
+def test_dim_scans_no_odd_proper_host(monkeypatch):
+    hosts = []
+
+    def recording(g, subset, s, d):
+        hosts.append(subset)
+        return subdim_exists(g, subset, s, d)
+
+    monkeypatch.setattr(dimension, "subdim_exists", recording)
+    for g in (cycle_graph(9), complete_graph(10), random_graph(random.Random(32), 10)):
+        del hosts[:]
+        dim_exact(g)
+        proper = [host for host in hosts if host != g.vertex_mask]
+        assert proper and all(host.bit_count() % 2 == 0 for host in proper)
 
 
 def test_dim_cap_enforced():

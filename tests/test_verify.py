@@ -6,7 +6,7 @@ import pytest
 from graphdim import coloring, verify
 from graphdim.coloring import chromatic_number_within
 from graphdim.core import Graph, encode_graph6
-from graphdim.dimension import dim_exact, subdim
+from graphdim.dimension import dim_exact, subdim, subdim_naive
 from graphdim.errors import CapExceeded, DomainError
 from graphdim.verify import (
     SUITE_NAMES,
@@ -45,6 +45,10 @@ def test_sweep_stats_consistent():
         assert chromatic_number_within(g, g.vertex_mask) == chi
         assert subdim(g, g.vertex_mask) == full
         assert dim_exact(g).value == dim_value
+    # a fixed sample at n = 5 and 6 against the literal max over hosts
+    for n in (5, 6):
+        for g, _, _, _, dim_value in _sweep_stats(n)[::97]:
+            assert dim_value == max(subdim_naive(g, host).value for host in range(1, 1 << n))
 
 
 # sha256 of the compact sorted-key JSON of run_suite(name, cap) plus a newline
