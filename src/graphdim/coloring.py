@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, bits_of, ceil_log2
+from .core import Graph, _check_subset, bits_of, ceil_log2
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -159,43 +159,40 @@ def _color_decision(adj, order: list[int], k: int) -> list[int] | None:
     return classes if place(0) else None
 
 
-def _chromatic(adj, order: list[int], ub: int) -> tuple[int, list[int] | None]:
-    """Smallest k below ub with a proper k-coloring of the vertices of `order`
-    (a _degree_order), with its color classes; (ub, None) when none exists.
-    A greedy clique bounds k below and backtracking decides each candidate."""
-    for k in range(_clique_lower_bound(adj, order), ub):
+def _chromatic(adj, order: list[int]) -> tuple[int, list[int]]:
+    """Smallest k with a proper k-coloring of the vertices of `order` (a
+    _degree_order), with its color classes.  A greedy clique bounds k below
+    and backtracking decides each candidate upward.  At the first-fit
+    palette size the decision's first branch is first-fit itself and never
+    backtracks, so the scan ends there at the latest."""
+    k = _clique_lower_bound(adj, order)
+    if k == len(order):  # a clique: one class per vertex, no decision needed
+        return k, [1 << v for v in order]
+    while True:
         classes = _color_decision(adj, order, k)
         if classes is not None:
             return k, classes
-    return ub, None
+        k += 1
 
 
 def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number with a witnessing coloring.
 
-    Greedy gives the incumbent, a greedy clique the lower bound, and
-    backtracking decides each candidate palette size in between; the
-    greedy coloring itself is returned when no smaller palette works.
+    A greedy clique gives the lower bound and backtracking along the
+    degree order decides each palette size upward from it; when no palette
+    smaller than first-fit's works, the coloring is first-fit's own.
     """
     require_within_cap(g.n, cap, "chromatic_number")
-    if g.n == 0:
-        return 0, Coloring((), 0)
-    order = _degree_order(g.adj, range(g.n))
-    greedy = greedy_coloring(g, order)
-    k, classes = _chromatic(g.adj, order, greedy.palette_size)
-    if classes is None:
-        return k, greedy
+    k, classes = _chromatic(g.adj, _degree_order(g.adj, range(g.n)))
     colors = tuple(next(c for c, m in enumerate(classes) if m >> v & 1) for v in range(g.n))
     return k, Coloring(colors, k)
 
 
 def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> int:
     """Chromatic number of the subgraph induced by `subset` (value only)."""
-    if subset & ~g.vertex_mask:
-        raise DomainError("vertex set mentions vertices outside the graph")
+    _check_subset(g, subset)
     require_within_cap(g.n, cap, "chromatic_number_within")
-    members = bits_of(subset)
-    return _chromatic(g.adj, _degree_order(g.adj, members), len(members))[0]
+    return _chromatic(g.adj, _degree_order(g.adj, bits_of(subset)))[0]
 
 
 def critical_subgraph(g: Graph, cap: int | None = None) -> int:
@@ -213,7 +210,7 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
     if g.n == 0:
         raise DomainError("critical subgraph of the empty graph is undefined")
     order = _degree_order(g.adj, range(g.n))
-    target = _chromatic(g.adj, order, g.n)[0]
+    target = _chromatic(g.adj, order)[0]
     subset = g.vertex_mask
     for v in range(g.n):
         smaller = subset ^ (1 << v)

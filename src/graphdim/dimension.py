@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, _induced_max_degree, bits_of, subsets_of_mask, subsets_of_size
+from .core import (Graph, _check_subset, _induced_max_degree, bits_of, subsets_of_mask,
+                   subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -72,10 +73,9 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     order.  The only search state is the bitset of included vertices; a
     vertex's included-neighbor count is read as |adj[v] & included|.  A
     branch dies when an included vertex would exceed d included neighbors,
-    or when the vertices still available cannot reach size s.
+    or when too few undecided vertices remain to reach size s.
     """
-    if subset & ~g.vertex_mask:
-        raise DomainError("vertex set mentions vertices outside the graph")
+    _check_subset(g, subset)
     members = bits_of(subset)
     k = len(members)
     if s < 0 or s > k:
@@ -87,19 +87,11 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     adj = g.adj
     included = 0
 
-    def viable(idx: int) -> int:
-        # undecided members whose included-neighbor count still permits inclusion
-        alive = 0
-        for i in range(idx + 1):
-            if (adj[members[i]] & included).bit_count() <= d:
-                alive += 1
-        return alive
-
     def dfs(idx: int, size: int) -> int | None:
         nonlocal included
         if size == s:
             return included
-        if size + idx + 1 < s or size + viable(idx) < s:
+        if size + idx + 1 < s:
             return None
         v = members[idx]
         found = dfs(idx - 1, size)  # exclude first: keeps masks ascending
@@ -178,8 +170,8 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     comes earlier in the scan; an odd host can therefore never raise the
     maximum or become its witness.  A host S is skipped when its induced
     max degree is at most the incumbent, since subdim never exceeds it;
-    surviving hosts first get a single decision call at the incumbent
-    bound and only on failure is their exact value computed.  The reported
+    surviving hosts are scanned upward from the incumbent bound, so a host
+    that cannot improve costs a single decision call.  The reported
     witness is the first host, in order of decreasing size and then
     ascending mask, that reached the final value.
     """
@@ -202,10 +194,9 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
         for host in subsets_of_size(g.n, size):
             if _induced_max_degree(adj, host) <= best:
                 continue
-            if subdim_exists(g, host, s, best) is not None:
-                continue  # subdim(host) <= best, cannot improve
-            value, witness = _subdim_scan(g, host, s, best + 1)
-            best = value
-            best_host = host
-            best_inner = SubdimCertificate(value=value, witness_min=witness, host_size=size)
+            value, witness = _subdim_scan(g, host, s, best)
+            if value > best:
+                best = value
+                best_host = host
+                best_inner = SubdimCertificate(value=value, witness_min=witness, host_size=size)
     return DimCertificate(value=best, witness_max=best_host, inner=best_inner)

@@ -3,7 +3,8 @@
 Exact search is exponential, so every solver entry point refuses graphs
 larger than a cap instead of silently running forever.  The default is 16
 vertices; the GRAPHDIM_CAP environment variable overrides it globally, and
-every capped function also takes an explicit ``cap=`` argument.
+every capped function also takes an explicit ``cap=`` argument.  No cap
+lifts the search ceiling of 512 vertices.
 """
 
 import os
@@ -12,6 +13,9 @@ from .errors import CapExceeded
 
 DEFAULT_CAP = 16
 CAP_ENV_VAR = "GRAPHDIM_CAP"
+# both backtracking searches recurse once per vertex; Python's default
+# recursion limit is 1000 frames
+_SEARCH_CEILING = 512
 
 
 def resolve_cap(cap: int | None = None) -> int:
@@ -28,7 +32,11 @@ def resolve_cap(cap: int | None = None) -> int:
 
 
 def require_within_cap(n: int, cap: int | None, what: str) -> int:
-    """Raise CapExceeded when a graph of n vertices is beyond the cap."""
+    """Raise CapExceeded when a graph of n vertices is beyond the cap or
+    the search ceiling."""
+    if n > _SEARCH_CEILING:
+        raise CapExceeded(f"{what} refuses n={n} > {_SEARCH_CEILING}, the search ceiling; "
+                          "raising the cap does not help")
     limit = resolve_cap(cap)
     if n > limit:
         raise CapExceeded(f"{what} refuses n={n} > cap={limit}; raise {CAP_ENV_VAR} or pass cap=")

@@ -109,6 +109,17 @@ def test_cap_exit_3():
     assert proc.returncode == 3
 
 
+def test_search_ceiling_exit_3_whatever_the_cap(tmp_path):
+    # both backtracking searches recurse once per vertex
+    out = tmp_path / "c.emb"
+    for args in (("compute", "cycle:1201", "--which", "chi"),
+                 ("embed", "cycle:1201", "-o", str(out))):
+        proc = run_cli(*args, "--cap", "3000")
+        assert proc.returncode == 3, proc.stderr
+        assert "raising the cap does not help" in proc.stderr
+    assert not out.exists()
+
+
 def test_cap_env_override():
     proc = run_cli("compute", "complete:17", "--which", "dim",
                    env={"GRAPHDIM_CAP": "18"})

@@ -161,6 +161,13 @@ def test_oracle_equivalence_random_graphs():
         while host == 0:
             host = rng.getrandbits(n) or 1
         assert subdim(g, host) == subdim_naive(g, host)
+    # dense hosts above n = 10, where the scan refutes d = 0 and up first
+    for _ in range(8):
+        n = rng.randint(14, 16)
+        g = random_graph(rng, n, rng.uniform(0.6, 0.7))
+        cert = subdim(g, g.vertex_mask)
+        assert cert.value >= 2
+        assert cert == subdim_naive(g, g.vertex_mask)
 
 
 def test_oracle_equivalence_families():
