@@ -50,14 +50,6 @@ class Coloring:
         elif expected != 0:
             raise DomainError("empty coloring must have palette_size 0")
 
-    def color_class(self, c: int) -> int:
-        """Bitset of vertices with color c."""
-        m = 0
-        for v, col in enumerate(self.colors):
-            if col == c:
-                m |= 1 << v
-        return m
-
 
 @dataclass(frozen=True)
 class DecompositionRound:

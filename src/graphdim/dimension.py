@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .core import (Graph, _check_subset, _induced_max_degree, bits_of, subsets_of_mask,
                    subsets_of_size)
 from .errors import DomainError
-from .limits import require_within_cap
+from .limits import _require_within_ceiling, require_within_cap
 
 __all__ = [
     "SubdimCertificate",
@@ -67,51 +67,45 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     """Decision form: a size-s subset of `subset` with induced max degree <= d.
 
     Returns the numerically smallest such subset as a bitset, or None.
-    Branch and bound over include/exclude decisions per vertex, highest
-    vertex first with the exclude branch explored before the include
-    branch, which makes complete selections appear in increasing numeric
-    order.  The only search state is the bitset of included vertices; a
+    Branch and bound that picks the included members from the highest
+    down: each branch chooses the next member below the last one chosen,
+    lowest candidate first, so complete selections appear in increasing
+    numeric order; a candidate must leave enough members below it to reach
+    size s.  The only search state is the bitset of included vertices; a
     vertex's included-neighbor count is read as |adj[v] & included|.  A
-    branch dies when an included vertex would exceed d included neighbors,
-    or when too few undecided vertices remain to reach size s.
+    candidate is skipped when it, or an included neighbor, would exceed d
+    included neighbors.  Hosts of more than 512 members raise CapExceeded.
     """
     _check_subset(g, subset)
     members = bits_of(subset)
     k = len(members)
+    _require_within_ceiling(k, "subdim_exists")
     if s < 0 or s > k:
         raise DomainError(f"target size {s} out of range for a {k}-element host")
     if d < 0:
         return None
-    if s == 0:
-        return 0
     adj = g.adj
-    included = 0
 
-    def dfs(idx: int, size: int) -> int | None:
-        nonlocal included
+    def extend(included: int, top: int, size: int) -> int | None:
         if size == s:
             return included
-        if size + idx + 1 < s:
-            return None
-        v = members[idx]
-        found = dfs(idx - 1, size)  # exclude first: keeps masks ascending
-        if found is not None:
-            return found
-        rest = adj[v] & included
-        if rest.bit_count() <= d:
+        for j in range(s - size - 1, top):
+            v = members[j]
+            rest = adj[v] & included
+            if rest.bit_count() > d:
+                continue
             while rest:
                 low = rest & -rest
                 if (adj[low.bit_length() - 1] & included).bit_count() >= d:
-                    return None  # some included neighbor would exceed d
+                    break  # some included neighbor would exceed d
                 rest ^= low
-            included |= 1 << v
-            found = dfs(idx - 1, size + 1)
-            if found is not None:
-                return found
-            included ^= 1 << v
+            else:
+                found = extend(included | 1 << v, j, size + 1)
+                if found is not None:
+                    return found
         return None
 
-    return dfs(k - 1, 0)
+    return extend(0, k, 0)
 
 
 def _subdim_scan(g: Graph, subset: int, s: int, start: int) -> tuple[int, int]:

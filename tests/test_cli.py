@@ -110,7 +110,7 @@ def test_cap_exit_3():
 
 
 def test_search_ceiling_exit_3_whatever_the_cap(tmp_path):
-    # both backtracking searches recurse once per vertex
+    # the chi decision recurses once per vertex
     out = tmp_path / "c.emb"
     for args in (("compute", "cycle:1201", "--which", "chi"),
                  ("embed", "cycle:1201", "-o", str(out))):

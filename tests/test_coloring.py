@@ -51,12 +51,6 @@ def test_coloring_rejects_gaps():
         Coloring((), 1)
 
 
-def test_color_class_masks():
-    col = Coloring((0, 1, 0, 1), 2)
-    assert col.color_class(0) == mask_of([0, 2])
-    assert col.color_class(1) == mask_of([1, 3])
-
-
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,7 @@ def test_subdim_exists_degenerate_arguments():
     g = path_graph(4)
     assert subdim_exists(g, g.vertex_mask, 0, 0) == 0
     assert subdim_exists(g, g.vertex_mask, 2, -1) is None
+    assert subdim_exists(g, g.vertex_mask, 0, -1) is None
     with pytest.raises(DomainError):
         subdim_exists(g, g.vertex_mask, 5, 1)
 
@@ -118,6 +121,27 @@ def test_subdim_exists_returns_smallest_mask():
         want = next((m for m in subsets_of_mask(host, s)
                      if max_degree_within(g, m) <= d), None)
         assert got == want
+
+
+def test_subdim_exists_recursion_depth_follows_chosen_members():
+    # one frame per chosen member: 201 of 400 fit under a limit that one
+    # frame per considered member would exceed
+    g = Graph.from_edges(400, [])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 260)
+    try:
+        witness = subdim_exists(g, g.vertex_mask, 201, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert witness == (1 << 201) - 1
+
+
+def test_subdim_refuses_hosts_beyond_the_search_ceiling():
+    g = Graph.from_edges(512, [])
+    assert subdim(g, g.vertex_mask).value == 0
+    for g in (Graph.from_edges(1201, []), cycle_graph(1201)):
+        with pytest.raises(CapExceeded, match="search ceiling"):
+            subdim(g, g.vertex_mask)
 
 
 def test_subdim_matches_known_values():
