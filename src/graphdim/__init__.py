@@ -30,7 +30,6 @@ from .coloring import (
     decomposition_round_bound,
     greedy_coloring,
     is_proper,
-    min_degree_check,
 )
 from .core import (
     Graph,

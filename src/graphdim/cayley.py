@@ -174,7 +174,7 @@ def dim_via_transitivity(grp: AbelianGroup, gens: GeneratorSet,
     has max degree at most the witness value.  So no subset beats the full
     set and one subdim call certifies the dimension.
     """
+    require_within_cap(grp.size, cap, "dim_via_transitivity")
     g = cayley_graph(grp, gens)
-    require_within_cap(g.n, cap, "dim_via_transitivity")
     inner = subdim(g, g.vertex_mask)
     return DimCertificate(value=inner.value, witness_max=g.vertex_mask, inner=inner)

@@ -23,8 +23,7 @@ from .core import bits_of, encode_graph6, max_degree_within
 from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
-from .inputs import load_input
-from .limits import require_within_cap
+from .inputs import _load_within_cap
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -98,10 +97,8 @@ def _embedding_entry(report) -> dict:
 
 
 def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
-    g, descriptor = load_input(spec)
-    # refuse before any work on g, graph6 encoding included
     what = {"subdim": "subdim", "chi": "chromatic_number"}.get(which, "dim_exact")
-    require_within_cap(g.n, cap, what)
+    g, descriptor = _load_within_cap(spec, cap, what)
     report = dict(descriptor)
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
@@ -135,7 +132,7 @@ def cmd_verify(suite: str, cap: int | None = None) -> tuple[dict, int]:
 
 
 def cmd_embed(spec: str, out_path: str, cap: int | None = None) -> dict:
-    g, descriptor = load_input(spec)
+    g, descriptor = _load_within_cap(spec, cap, "chromatic_number")
     k, col = chromatic_number(g, cap=cap)
     emb = unit_distance_embed(g, col)
     report_obj = verify_embedding(g, emb)

@@ -27,7 +27,6 @@ __all__ = [
     "chromatic_number",
     "chromatic_number_within",
     "critical_subgraph",
-    "min_degree_check",
     "decomposition_coloring",
     "decomposition_round_bound",
     "chromatic_bound_from_dim",
@@ -124,31 +123,36 @@ def _color_decision(adj, order: list[int], k: int) -> list[int] | None:
     """Proper k-coloring of the subgraph on the vertices of `order` as its
     color classes (bitset c holds the vertices of color c), or None.
 
-    Backtracking along `order` whose only state is the class bitsets: v
-    fits class c iff adj[v] & classes[c] == 0.  The usual symmetry break:
-    after the open classes, a vertex may open one new class.
+    Backtracking along `order` over the class bitsets and a stack of the
+    classes chosen: v fits class c iff adj[v] & classes[c] == 0.  The usual
+    symmetry break: after the open classes, a vertex may open one new class.
     """
     classes = []
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
+    placed = [0] * len(order)  # the class of order[i], for each placed i
+    i = c = 0  # the next vertex to place and the first class to try for it
+    while i < len(order):
         v = order[i]
-        bit = 1 << v
-        for c in range(len(classes)):
-            if adj[v] & classes[c] == 0:
-                classes[c] |= bit
-                if place(i + 1):
-                    return True
-                classes[c] ^= bit
-        if len(classes) < k:
-            classes.append(bit)
-            if place(i + 1):
-                return True
-            classes.pop()
-        return False
-
-    return classes if place(0) else None
+        row, opened = adj[v], len(classes)
+        while c < opened and row & classes[c]:
+            c += 1
+        if c < opened:
+            classes[c] |= 1 << v
+        elif c == opened < k:
+            classes.append(1 << v)
+        else:  # no class left for v: take back the last placement, try its next
+            if i == 0:
+                return None
+            i -= 1
+            c = placed[i]
+            classes[c] ^= 1 << order[i]
+            if not classes[c]:  # order[i] had opened the last class
+                classes.pop()
+            c += 1
+            continue
+        placed[i] = c
+        i += 1
+        c = 0
+    return classes
 
 
 def _chromatic(adj, order: list[int]) -> tuple[int, list[int]]:
@@ -158,8 +162,6 @@ def _chromatic(adj, order: list[int]) -> tuple[int, list[int]]:
     palette size the decision's first branch is first-fit itself and never
     backtracks, so the scan ends there at the latest."""
     k = _clique_lower_bound(adj, order)
-    if k == len(order):  # a clique: one class per vertex, no decision needed
-        return k, [1 << v for v in order]
     while True:
         classes = _color_decision(adj, order, k)
         if classes is not None:
@@ -210,15 +212,6 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
         if _color_decision(g.adj, rest, target - 1) is None:
             subset = smaller
     return subset
-
-
-def min_degree_check(g: Graph, subset: int, cap: int | None = None) -> bool:
-    """True iff every vertex of the induced subgraph has degree at least
-    its chromatic number minus one (the mark of a critical subgraph)."""
-    if subset == 0:
-        raise DomainError("min_degree_check needs a nonempty vertex set")
-    need = chromatic_number_within(g, subset, cap=cap) - 1
-    return all((g.adj[v] & subset).bit_count() >= need for v in bits_of(subset))
 
 
 def decomposition_coloring(g: Graph, cap: int | None = None) -> tuple[Coloring, DecompositionTrace]:

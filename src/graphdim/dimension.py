@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .core import (Graph, _check_subset, _induced_max_degree, bits_of, subsets_of_mask,
                    subsets_of_size)
 from .errors import DomainError
-from .limits import _require_within_ceiling, require_within_cap
+from .limits import require_within_cap
 
 __all__ = [
     "SubdimCertificate",
@@ -71,25 +71,25 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     down: each branch chooses the next member below the last one chosen,
     lowest candidate first, so complete selections appear in increasing
     numeric order; a candidate must leave enough members below it to reach
-    size s.  The only search state is the bitset of included vertices; a
-    vertex's included-neighbor count is read as |adj[v] & included|.  A
-    candidate is skipped when it, or an included neighbor, would exceed d
-    included neighbors.  Hosts of more than 512 members raise CapExceeded.
+    size s.  The search state is the bitset of included vertices and a stack
+    of candidate iterators; a vertex's included-neighbor count is read as
+    |adj[v] & included|.  A candidate is skipped when it, or an included
+    neighbor, would exceed d included neighbors.
     """
     _check_subset(g, subset)
     members = bits_of(subset)
     k = len(members)
-    _require_within_ceiling(k, "subdim_exists")
     if s < 0 or s > k:
         raise DomainError(f"target size {s} out of range for a {k}-element host")
     if d < 0:
         return None
     adj = g.adj
-
-    def extend(included: int, top: int, size: int) -> int | None:
-        if size == s:
-            return included
-        for j in range(s - size - 1, top):
+    candidates = [iter(range(s - 1, k))] + [None] * s  # per depth, members left to try
+    before = [0] * s  # per depth, the included set before the member chosen there
+    included = 0
+    size = 0
+    while size < s:
+        for j in candidates[size]:
             v = members[j]
             rest = adj[v] & included
             if rest.bit_count() > d:
@@ -100,12 +100,18 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
                     break  # some included neighbor would exceed d
                 rest ^= low
             else:
-                found = extend(included | 1 << v, j, size + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return extend(0, k, 0)
+                break  # v fits: leave the candidate loop with v chosen
+        else:  # no candidate left at this depth: take back the member before it
+            if size == 0:
+                return None
+            size -= 1
+            included = before[size]
+            continue
+        before[size] = included
+        included |= 1 << v
+        size += 1
+        candidates[size] = iter(range(s - size - 1, j))
+    return included
 
 
 def _subdim_scan(g: Graph, subset: int, s: int, start: int) -> tuple[int, int]:

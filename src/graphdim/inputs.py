@@ -1,8 +1,8 @@
 """Input descriptors for the command line and the verification sweeps.
 
 A graph input is either a family spec or a file path.  Family specs are
-'token:body', and the one table ``_FAMILIES`` maps each token to its arity
-and builder:
+'token:body', and the one table ``_FAMILIES`` maps each token to its arity,
+builder and vertex count (None for cube: its 2^N is checked by its exponent):
 
     path:7  cycle:6  complete:5  kbip:3,4  cube:3
     cayley:z:N1,N2,...;gens=G1,G2,...
@@ -34,7 +34,8 @@ from .core import (
     parse_graph6,
     path_graph,
 )
-from .errors import ParseError
+from .errors import CapExceeded, ParseError
+from .limits import CAP_ENV_VAR, require_within_cap, resolve_cap
 
 __all__ = ["parse_cayley_spec", "load_input"]
 
@@ -80,28 +81,28 @@ def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:
     return grp, GeneratorSet(elements)
 
 
-def _cayley_family(body: str) -> Graph:
-    return cayley_graph(*parse_cayley_spec(body))
-
-
 _FAMILIES = {
-    "path": (1, path_graph),
-    "cycle": (1, cycle_graph),
-    "complete": (1, complete_graph),
-    "kbip": (2, complete_bipartite_graph),
-    "cube": (1, hypercube_graph),
-    "cayley": (None, _cayley_family),
+    "path": (1, path_graph, lambda n: n),
+    "cycle": (1, cycle_graph, lambda n: n),
+    "complete": (1, complete_graph, lambda n: n),
+    "kbip": (2, complete_bipartite_graph, lambda m, n: m + n),
+    "cube": (1, hypercube_graph, None),
+    "cayley": (None, cayley_graph, lambda grp, gens: grp.size),
 }
 
 
-def _build_family(token: str, body: str) -> Graph:
-    arity, builder = _FAMILIES[token]
+def _family_params(spec: str) -> tuple[str, tuple] | None:
+    """Token and parsed parameters of a family spec; None for anything else."""
+    token, sep, body = spec.partition(":")
+    if not sep or token not in _FAMILIES:
+        return None
+    arity = _FAMILIES[token][0]
     if arity is None:
-        return builder(body)
+        return token, parse_cayley_spec(body)
     params = _parse_int_list(body, f"{token} parameters")
     if len(params) != arity:
         raise ParseError(f"family {token!r} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+    return token, tuple(params)
 
 
 def _load_file(path: str) -> Graph:
@@ -124,11 +125,28 @@ def _load_file(path: str) -> Graph:
 
 def load_input(spec: str) -> tuple[Graph, dict]:
     """Resolve a family spec or file path into a graph plus a report descriptor."""
-    head = spec.split(":", 1)[0]
-    if ":" in spec and head in _FAMILIES:
-        g = _build_family(head, spec.split(":", 1)[1])
-        return g, {"input": spec, "kind": "family"}
+    family = _family_params(spec)
+    if family is not None:
+        token, params = family
+        return _FAMILIES[token][1](*params), {"input": spec, "kind": "family"}
     if os.path.exists(spec):
         return _load_file(spec), {"input": spec, "kind": "file"}
     raise ParseError(
         f"{spec!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
+
+
+def _load_within_cap(spec: str, cap: int | None, what: str) -> tuple[Graph, dict]:
+    """load_input that checks the cap before any work on the graph: for a
+    family spec from its parameters, before building; for a file, once read."""
+    family = _family_params(spec)
+    if family is not None:
+        token, params = family
+        limit = resolve_cap(cap)
+        if token != "cube":
+            require_within_cap(_FAMILIES[token][2](*params), limit, what)
+        elif params[0] >= max(limit, 1).bit_length():  # 2^N > limit, for N >= 1
+            raise CapExceeded(f"{what} refuses n=2^{params[0]} > cap={limit}; "
+                              f"raise {CAP_ENV_VAR} or pass cap=")
+    g, descriptor = load_input(spec)
+    require_within_cap(g.n, cap, what)
+    return g, descriptor

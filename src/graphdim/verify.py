@@ -34,9 +34,8 @@ from .coloring import (
     critical_subgraph,
     decomposition_round_bound,
     is_proper,
-    min_degree_check,
 )
-from .core import Graph, encode_graph6, hypercube_graph, max_degree_within
+from .core import Graph, bits_of, encode_graph6, hypercube_graph, max_degree_within
 from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
@@ -215,8 +214,9 @@ def suite_lemma2(cap: int | None = None) -> dict:
     instances = []
     for g, g6, chi, _, _ in records:
         core = critical_subgraph(g)
-        preserved = chromatic_number_within(g, core) == chi
-        degrees_ok = min_degree_check(g, core)
+        core_chi = chromatic_number_within(g, core)
+        preserved = core_chi == chi
+        degrees_ok = all((g.adj[v] & core).bit_count() >= core_chi - 1 for v in bits_of(core))
         instances.append({"case": g6, "chi": chi,
                           "critical_size": core.bit_count(),
                           "chi_preserved": preserved,

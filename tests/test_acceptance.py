@@ -8,7 +8,6 @@ asserts.  Criteria with a stated time budget assert the elapsed time too.
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -26,6 +25,8 @@ from graphdim.core import (
 from graphdim.dimension import dim_exact, subdim
 from graphdim.embedding import unit_distance_embed, verify_embedding
 from graphdim.verify import _sweep_stats, enumerate_labeled_graphs, run_suite
+
+from helpers import subprocess_env
 
 
 def _ceil_sqrt(n):
@@ -184,7 +185,7 @@ def test_criterion_9_byte_identical_reports():
     def run_verify_all():
         return subprocess.run(
             [sys.executable, "-m", "graphdim", "verify", "all"],
-            capture_output=True, text=True, env=dict(os.environ),
+            capture_output=True, text=True, env=subprocess_env(),
         )
 
     first = run_verify_all()

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from graphdim import cayley
 from graphdim.cayley import (
     AbelianGroup,
     GeneratorSet,
@@ -229,6 +230,14 @@ def test_dim_via_transitivity_certificate_shape():
 def test_dim_via_transitivity_cap():
     with pytest.raises(CapExceeded):
         dim_via_transitivity(cube_group(5), units(5))
+
+
+def test_dim_via_transitivity_checks_the_cap_before_building(monkeypatch):
+    def unbuildable(grp, gens):
+        raise AssertionError("an oversize Cayley graph was built")
+    monkeypatch.setattr(cayley, "cayley_graph", unbuildable)
+    with pytest.raises(CapExceeded):
+        dim_via_transitivity(cube_group(20), units(20))
 
 
 def test_half_witness_translation_covers_majorities():

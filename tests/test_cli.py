@@ -5,23 +5,23 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from graphdim import cli, dimension
+from graphdim import cli, dimension, inputs
 from graphdim.cli import cmd_compute
 from graphdim.coloring import is_proper
 from graphdim.core import hypercube_graph, max_degree_within, mask_of, parse_graph6
 from graphdim.errors import CapExceeded, DomainError
 
+from helpers import subprocess_env
+
 
 def run_cli(*args, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "graphdim", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True, env=subprocess_env(env),
     )
 
 
@@ -109,15 +109,52 @@ def test_cap_exit_3():
     assert proc.returncode == 3
 
 
-def test_search_ceiling_exit_3_whatever_the_cap(tmp_path):
-    # the chi decision recurses once per vertex
+def test_graphs_beyond_512_vertices_run_when_the_cap_allows(tmp_path):
+    proc = run_cli("compute", "cycle:1201", "--which", "chi", "--cap", "3000")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["chi"]["value"] == 3
     out = tmp_path / "c.emb"
-    for args in (("compute", "cycle:1201", "--which", "chi"),
-                 ("embed", "cycle:1201", "-o", str(out))):
-        proc = run_cli(*args, "--cap", "3000")
+    proc = run_cli("embed", "cycle:601", "-o", str(out), "--cap", "1000")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["embedding"]["ambient_dim"] == 6
+    assert out.exists()
+
+
+OVERSIZE_SPECS = ("cube:64", "complete:100000000000000000000", "complete:3000",
+                  "cayley:z:1024,1024;gens=(1,0),(1023,0),(0,1),(0,1023)")
+
+
+def test_oversize_family_specs_exit_3():
+    for spec in OVERSIZE_SPECS[:3]:
+        proc = run_cli("compute", spec)
         assert proc.returncode == 3, proc.stderr
-        assert "raising the cap does not help" in proc.stderr
+        assert "cap exceeded" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_oversize_family_specs_refused_unbuilt(monkeypatch, tmp_path):
+    def unbuildable(*params):
+        raise AssertionError("an oversize family was built")
+    for token, (arity, _, order) in list(inputs._FAMILIES.items()):
+        monkeypatch.setitem(inputs._FAMILIES, token, (arity, unbuildable, order))
+    out = tmp_path / "x.emb"
+    for spec in OVERSIZE_SPECS:
+        for argv in (["compute", spec], ["compute", spec, "--which", "chi"],
+                     ["embed", spec, "-o", str(out)]):
+            start = time.perf_counter()
+            assert cli.main(argv) == 3
+            assert time.perf_counter() - start < 1
     assert not out.exists()
+
+
+def test_cube_spec_checked_by_its_exponent():
+    for d, cap in ((1, 2), (4, 16), (5, 32), (5, 63)):
+        g, _ = inputs._load_within_cap(f"cube:{d}", cap, "dim_exact")
+        assert g.n == 1 << d
+    for d, cap in ((1, 1), (4, 15), (5, 31), (5, 0), (5, -1)):
+        with pytest.raises(CapExceeded, match=f"refuses n=2\\^{d} > cap={cap};"):
+            inputs._load_within_cap(f"cube:{d}", cap, "dim_exact")
+    with pytest.raises(DomainError):
+        inputs._load_within_cap("cube:0", 0, "dim_exact")
 
 
 def test_cap_env_override():

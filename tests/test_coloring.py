@@ -16,7 +16,6 @@ from graphdim.coloring import (
     decomposition_round_bound,
     greedy_coloring,
     is_proper,
-    min_degree_check,
 )
 from graphdim.core import (
     Graph,
@@ -32,10 +31,7 @@ from graphdim.core import (
 from graphdim.dimension import dim_exact
 from graphdim.errors import CapExceeded, DomainError
 
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +260,15 @@ def test_critical_subgraph_one_decision_per_vertex(monkeypatch):
         assert calls == g.n + chi_calls
 
 
-def test_min_degree_check_examples():
-    c5 = cycle_graph(5)
-    assert min_degree_check(c5, critical_subgraph(c5))
-    pend = Graph.from_edges(5, list(itertools.combinations(range(4), 2)) + [(0, 4)])
-    assert min_degree_check(pend, critical_subgraph(pend))
-    p3 = path_graph(3)
-    assert min_degree_check(p3, p3.vertex_mask)
-    # a pendant vertex fails: degree 1 < chi(K_4 + pendant) - 1 = 3
-    assert not min_degree_check(pend, pend.vertex_mask)
-    with pytest.raises(DomainError):
-        min_degree_check(p3, 0)
-
-
 def test_critical_always_passes_min_degree_check():
+    # every vertex of a critical subgraph has degree >= chi - 1 inside it
     rng = random.Random(44)
     for _ in range(60):
         n = rng.randint(1, 8)
         g = random_graph(rng, n, rng.choice([0.3, 0.6]))
-        assert min_degree_check(g, critical_subgraph(g))
+        core = critical_subgraph(g)
+        need = chromatic_number_within(g, core) - 1
+        assert all((g.adj[v] & core).bit_count() >= need for v in bits_of(core))
 
 
 # ---------------------------------------------------------------------------

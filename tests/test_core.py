@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -30,10 +29,7 @@ from graphdim.dimension import subdim, subdim_naive
 from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input
 
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import random
 import sys
 
@@ -23,6 +22,7 @@ from graphdim.core import (
     subsets_of_mask,
 )
 from graphdim.cli import cmd_compute
+from graphdim.coloring import chromatic_number
 from graphdim.dimension import (
     dim_exact,
     subdim,
@@ -31,10 +31,7 @@ from graphdim.dimension import (
 )
 from graphdim.errors import CapExceeded, DomainError
 
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from helpers import random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -123,25 +120,24 @@ def test_subdim_exists_returns_smallest_mask():
         assert got == want
 
 
-def test_subdim_exists_recursion_depth_follows_chosen_members():
-    # one frame per chosen member: 201 of 400 fit under a limit that one
-    # frame per considered member would exceed
+def test_searches_do_not_recurse_per_vertex():
+    # 201 chosen members and 1201 placed vertices, a few frames of headroom
     g = Graph.from_edges(400, [])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 260)
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
     try:
         witness = subdim_exists(g, g.vertex_mask, 201, 0)
+        chi = chromatic_number(cycle_graph(1201), cap=2000)[0]
     finally:
         sys.setrecursionlimit(limit)
     assert witness == (1 << 201) - 1
+    assert chi == 3
 
 
-def test_subdim_refuses_hosts_beyond_the_search_ceiling():
-    g = Graph.from_edges(512, [])
-    assert subdim(g, g.vertex_mask).value == 0
-    for g in (Graph.from_edges(1201, []), cycle_graph(1201)):
-        with pytest.raises(CapExceeded, match="search ceiling"):
-            subdim(g, g.vertex_mask)
+def test_subdim_of_an_edgeless_host_beyond_512_vertices():
+    g = Graph.from_edges(1201, [])
+    cert = subdim(g, g.vertex_mask)
+    assert (cert.value, cert.witness_min, cert.host_size) == (0, (1 << 601) - 1, 1201)
 
 
 def test_subdim_matches_known_values():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -27,12 +26,9 @@ from graphdim.embedding import (
 )
 from graphdim.errors import DomainError
 
+from helpers import random_graph
+
 RADIUS = math.sqrt(0.5)
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 def test_two_point_embedding_coordinates():
