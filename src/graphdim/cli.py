@@ -87,13 +87,7 @@ def _decomposition_entry(g, col, trace) -> dict:
 
 
 def _embedding_entry(report) -> dict:
-    return {
-        "ambient_dim": report.ambient_dim,
-        "max_edge_error": report.max_edge_error,
-        "min_pair_distance": (None if report.min_pair_distance == float("inf")
-                              else report.min_pair_distance),
-        "ok": report.ok,
-    }
+    return {"ambient_dim": report.ambient_dim, "ok": report.ok}
 
 
 def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:

@@ -75,6 +75,10 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     of candidate iterators; a vertex's included-neighbor count is read as
     |adj[v] & included|.  A candidate is skipped when it, or an included
     neighbor, would exceed d included neighbors.
+
+    Uncapped by design, like subdim: the capped entry points (dim_exact,
+    decomposition_coloring, dim_via_transitivity, the CLI) check the cap
+    before they call either, and a direct caller owns that check.
     """
     _check_subset(g, subset)
     members = bits_of(subset)
@@ -129,7 +133,8 @@ def subdim(g: Graph, subset: int) -> SubdimCertificate:
 
     Ascending scan on the degree bound d with the branch-and-bound decision
     procedure; values are small (at most the host's induced max degree), so
-    the linear scan beats binary search in practice.
+    the linear scan beats binary search in practice.  Uncapped by design,
+    like subdim_exists, whose docstring says who checks the cap.
     """
     if subset == 0:
         raise DomainError("sub-dimension of an empty host is undefined")

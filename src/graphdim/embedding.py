@@ -1,18 +1,16 @@
 """Unit-distance embeddings from proper colorings.
 
 Any proper k-coloring yields an embedding into R^(2k): reserve a
-coordinate pair per color and place each color class on the circle of
-radius 1/sqrt(2) in its own pair, zeros elsewhere.  Endpoints of an edge
-have different colors, hence disjoint supports, so every edge has squared
-length exactly 1/2 + 1/2 = 1 up to rounding.  Vertices sharing a class are
-spread at equally spaced angles, which maximizes their minimum separation;
+coordinate pair per color and place each color class on the circle
+x^2 + y^2 = 1/2 in its own pair, zeros elsewhere, at distinct rational
+points.  Endpoints of an edge have different colors, hence disjoint
+supports, so every edge has squared length exactly 1/2 + 1/2 = 1;
 vertices in different classes differ structurally (disjoint nonzero
 supports), so all points are pairwise distinct.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .coloring import Coloring, is_proper
@@ -27,15 +25,13 @@ __all__ = [
     "format_embedding",
 ]
 
-_RADIUS = math.sqrt(0.5)
-
 
 @dataclass(frozen=True)
 class Embedding:
-    """Vertex -> point map; points[v] has ambient_dim coordinates."""
+    """Vertex -> point map; points[v] has ambient_dim int or Fraction coordinates."""
 
     ambient_dim: int
-    points: tuple[tuple[float, ...], ...]
+    points: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -43,10 +39,8 @@ class EmbeddingReport:
     """Verifier output; violations are reported here, never raised."""
 
     ambient_dim: int
-    max_edge_error: float      # max | edge length - 1 |
-    min_pair_distance: float   # inf when fewer than two vertices
-    edges_ok: bool
-    distinct_ok: bool
+    edges_ok: bool      # every edge has squared length exactly 1
+    distinct_ok: bool   # no two vertices share a point
 
     @property
     def ok(self) -> bool:
@@ -54,72 +48,74 @@ class EmbeddingReport:
 
 
 def unit_distance_embed(g: Graph, col: Coloring) -> Embedding:
-    """Place each color class on its own 1/sqrt(2)-circle in R^(2k).
+    """Place each color class on its own circle x^2 + y^2 = 1/2 in R^(2k).
 
-    The j-th vertex of a class of size m (ascending ids) sits at angle
-    2*pi*j/m in the coordinate pair (2c, 2c+1).  Requires col to be a
-    proper coloring of g.
+    The j-th vertex of a class (ascending ids) sits at the rational point
+    (j^2 - 2j - 1, 1 - 2j - j^2) / (2 (1 + j^2)) in the coordinate pair
+    (2c, 2c+1), zeros elsewhere: the second point where the line of slope j
+    through (1, 1) meets u^2 + v^2 = 2, halved, so distinct j give distinct
+    points.  Requires col to be a proper coloring of g.
     """
+    # imported here: fractions imports decimal, which would add about a
+    # fifth to the import time of the whole package
+    from fractions import Fraction
+
     if len(col.colors) != g.n:
         raise DomainError(f"coloring covers {len(col.colors)} vertices, graph has {g.n}")
     if not is_proper(g, col.colors):
         raise DomainError("coloring is not proper for this graph")
     k = col.palette_size
     ambient = 2 * k
-    class_size = [0] * k
-    for c in col.colors:
-        class_size[c] += 1
     seen = [0] * k
+    circle = []  # circle[j]: the j-th point of every class
     points = []
     for v in range(g.n):
         c = col.colors[v]
-        theta = 2.0 * math.pi * seen[c] / class_size[c]
+        j = seen[c]
         seen[c] += 1
-        coords = [0.0] * ambient
-        coords[2 * c] = _RADIUS * math.cos(theta)
-        coords[2 * c + 1] = _RADIUS * math.sin(theta)
+        if j == len(circle):
+            den = 2 * (1 + j * j)
+            circle.append((Fraction(j * j - 2 * j - 1, den), Fraction(1 - 2 * j - j * j, den)))
+        coords = [0] * ambient
+        coords[2 * c], coords[2 * c + 1] = circle[j]
         points.append(tuple(coords))
     return Embedding(ambient_dim=ambient, points=tuple(points))
 
 
-def _dist(p, q) -> float:
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
+    """Check exactly that every edge has squared length 1 and that all
+    points are distinct.
 
-
-def verify_embedding(g: Graph, emb: Embedding, tol: float = 1e-9) -> EmbeddingReport:
-    """Check all edges have length 1 within tol and all points are distinct
-    (pairwise distance above tol)."""
+    An edge's squared length is |p|^2 + |q|^2 - 2<p, q>, summed over the
+    nonzero coordinates only.  Points are distinct when their coordinate
+    tuples are, which one set checks in O(n k).
+    """
     if len(emb.points) != g.n:
         raise DomainError(f"embedding covers {len(emb.points)} vertices, graph has {g.n}")
-    max_edge_error = 0.0
-    for u, v in g.edges():
-        err = abs(_dist(emb.points[u], emb.points[v]) - 1.0)
-        if err > max_edge_error:
-            max_edge_error = err
-    min_pair = math.inf
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            d = _dist(emb.points[u], emb.points[v])
-            if d < min_pair:
-                min_pair = d
-    return EmbeddingReport(
-        ambient_dim=emb.ambient_dim,
-        max_edge_error=max_edge_error,
-        min_pair_distance=min_pair,
-        edges_ok=max_edge_error <= tol,
-        distinct_ok=min_pair > tol,
-    )
+    support = [{i: x for i, x in enumerate(p) if x} for p in emb.points]
+    norm = [sum(x * x for x in s.values()) for s in support]
+
+    def squared_length(u, v):
+        su, sv = support[u], support[v]
+        shared = su.keys() & sv.keys()
+        if not shared:  # as for every edge of a coloring's embedding: no inner product
+            return norm[u] + norm[v]
+        return norm[u] + norm[v] - 2 * sum(su[i] * sv[i] for i in shared)
+
+    return EmbeddingReport(ambient_dim=emb.ambient_dim,
+                           edges_ok=all(squared_length(u, v) == 1 for u, v in g.edges()),
+                           distinct_ok=len(set(emb.points)) == g.n)
 
 
 def format_embedding(emb: Embedding, col: Coloring) -> str:
     """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}'.
 
-    Coordinates carry 17 significant digits, enough to round-trip floats.
+    Coordinates are written exactly, as integers or reduced fractions p/q.
     """
     if len(col.colors) != len(emb.points):
         raise DomainError("coloring and embedding cover different vertex counts")
     lines = []
     for v, point in enumerate(emb.points):
-        coords = " ".join(f"{x:.17g}" for x in point)
+        coords = " ".join(map(str, point))
         lines.append(f"{v} {col.colors[v]} {coords}")
     return "\n".join(lines) + "\n"

@@ -15,17 +15,21 @@ literally and must already be closed under negation.
 
 Files ending in .g6 are read as graph6; otherwise a file whose first
 non-blank line is a lone integer is read as an edge list, and anything
-else as graph6.
+else as graph6.  A file's vertex count is read from its header (that
+integer, or the graph6 size bytes) before the rest is parsed, so the cap
+is checked before any work that grows with the file.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from typing import Callable
 
 from .cayley import AbelianGroup, GeneratorSet, cayley_graph
 from .core import (
     Graph,
+    _g6_header,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -105,22 +109,24 @@ def _family_params(spec: str) -> tuple[str, tuple] | None:
     return token, tuple(params)
 
 
-def _load_file(path: str) -> Graph:
+def _read_file(path: str) -> tuple[int, Callable[[], Graph]]:
+    """The vertex count a graph file's header declares, and a call that
+    parses the whole file.  Only the header is decoded here, so a caller can
+    check the count before any work that grows with it."""
+    if not os.path.exists(path):
+        raise ParseError(
+            f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not an ASCII graph file") from None
-    if path.endswith(".g6"):
-        return parse_graph6(text)
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if len(stripped.split()) == 1 and stripped.lstrip("-").isdigit():
-            return parse_edge_list(text)
-        break
-    return parse_graph6(text)
+    head = re.match(r"\s*([^\n]*)", text).group(1)  # the rest stays unsplit
+    first = head.splitlines()[0].strip() if head else ""  # first non-blank line
+    if not path.endswith(".g6") and re.fullmatch(r"-?[0-9]+", first):
+        return int(first), lambda: parse_edge_list(text)
+    first = first.removeprefix(">>graph6<<")
+    return _g6_header(first[:4].encode("ascii"))[0], lambda: parse_graph6(text)
 
 
 def load_input(spec: str) -> tuple[Graph, dict]:
@@ -129,24 +135,23 @@ def load_input(spec: str) -> tuple[Graph, dict]:
     if family is not None:
         token, params = family
         return _FAMILIES[token][1](*params), {"input": spec, "kind": "family"}
-    if os.path.exists(spec):
-        return _load_file(spec), {"input": spec, "kind": "file"}
-    raise ParseError(
-        f"{spec!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
+    return _read_file(spec)[1](), {"input": spec, "kind": "file"}
 
 
 def _load_within_cap(spec: str, cap: int | None, what: str) -> tuple[Graph, dict]:
     """load_input that checks the cap before any work on the graph: for a
-    family spec from its parameters, before building; for a file, once read."""
+    family spec from its parameters, for a file from its header, before
+    anything is parsed or built."""
     family = _family_params(spec)
-    if family is not None:
-        token, params = family
-        limit = resolve_cap(cap)
-        if token != "cube":
-            require_within_cap(_FAMILIES[token][2](*params), limit, what)
-        elif params[0] >= max(limit, 1).bit_length():  # 2^N > limit, for N >= 1
-            raise CapExceeded(f"{what} refuses n=2^{params[0]} > cap={limit}; "
-                              f"raise {CAP_ENV_VAR} or pass cap=")
-    g, descriptor = load_input(spec)
-    require_within_cap(g.n, cap, what)
-    return g, descriptor
+    if family is None:
+        n, parse = _read_file(spec)
+        require_within_cap(n, cap, what)
+        return parse(), {"input": spec, "kind": "file"}
+    token, params = family
+    limit = resolve_cap(cap)
+    if token != "cube":
+        require_within_cap(_FAMILIES[token][2](*params), limit, what)
+    elif params[0] >= max(limit, 1).bit_length():  # 2^N > limit, for N >= 1
+        raise CapExceeded(f"{what} refuses n=2^{params[0]} > cap={limit}; "
+                          f"raise {CAP_ENV_VAR} or pass cap=")
+    return _FAMILIES[token][1](*params), {"input": spec, "kind": "family"}

@@ -240,7 +240,6 @@ def suite_corollary1(cap: int | None = None) -> dict:
             report = verify_embedding(g, unit_distance_embed(g, col))
             instances.append({"case": g6, "ambient": report.ambient_dim,
                               "want_ambient": 2 * chi,
-                              "max_edge_error": report.max_edge_error,
                               "ok": report.ok and report.ambient_dim == 2 * chi})
     return _suite_report("corollary1", {"max_n": max_n}, instances)
 

@@ -162,8 +162,8 @@ def test_criterion_8_embeddings_and_doubled_bound():
     for g in graphs:
         chi, col = chromatic_number(g)
         emb = unit_distance_embed(g, col)
-        report = verify_embedding(g, emb, tol=1e-9)
-        ok &= report.ok and report.max_edge_error <= 1e-9
+        report = verify_embedding(g, emb)  # exact: no tolerance
+        ok &= report.edges_ok and report.distinct_ok
         ok &= emb.ambient_dim == 2 * chi
     # the doubled chromatic bound, exhaustively on the n<=6 sweep
     for n in range(1, 7):
@@ -176,7 +176,7 @@ def test_criterion_8_embeddings_and_doubled_bound():
 
 
 # sha256 of the `graphdim verify all` stdout; refactors must leave it unchanged
-VERIFY_ALL_SHA256 = "1eeac99398b4910524a74ee87110713a7f222641b9e2565246d3a630d36ef85a"
+VERIFY_ALL_SHA256 = "66ec162c698cd08cf42ec44735a2ed031cd3f3a25d09fa0cb4a967ceee96982f"
 
 
 def test_criterion_9_byte_identical_reports():

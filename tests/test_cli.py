@@ -6,13 +6,15 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from graphdim import cli, dimension, inputs
 from graphdim.cli import cmd_compute
 from graphdim.coloring import is_proper
-from graphdim.core import hypercube_graph, max_degree_within, mask_of, parse_graph6
+from graphdim.core import (cycle_graph, encode_graph6, hypercube_graph, max_degree_within,
+                           mask_of, parse_graph6)
 from graphdim.errors import CapExceeded, DomainError
 
 from helpers import subprocess_env
@@ -146,6 +148,51 @@ def test_oversize_family_specs_refused_unbuilt(monkeypatch, tmp_path):
     assert not out.exists()
 
 
+def _graph_files(tmp_path, n):
+    """An edge list, a .g6 file and a prefixed graph6 file, each of n vertices."""
+    g6 = encode_graph6(cycle_graph(n))
+    files = {"edges.txt": f"{n}\n0 1\n", "graph.g6": g6 + "\n",
+             "graph.txt": f">>graph6<<{g6}\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in files]
+
+
+def test_oversize_files_refused_from_their_header(monkeypatch, tmp_path):
+    def unparsable(text):
+        raise AssertionError("an oversize file was parsed")
+
+    monkeypatch.setattr(inputs, "parse_edge_list", unparsable)
+    monkeypatch.setattr(inputs, "parse_graph6", unparsable)
+    out = tmp_path / "x.emb"
+    for path in _graph_files(tmp_path, 17):
+        for which in ("subdim", "dim", "chi", "all"):
+            with pytest.raises(CapExceeded):
+                cmd_compute(path, which)
+        assert cli.main(["embed", path, "-o", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_header_read_files_load_within_the_cap(tmp_path):
+    for path in _graph_files(tmp_path, 17):
+        g, descriptor = inputs._load_within_cap(path, 17, "dim_exact")
+        assert g.n == 17 and descriptor == {"input": path, "kind": "file"}
+
+
+def test_oversize_files_exit_3_within_a_second(tmp_path):
+    n = 5000  # an empty graph: a valid graph6 file of about 2 MB
+    head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    (tmp_path / "big.g6").write_text(head + "?" * ((n * (n - 1) // 2 + 5) // 6) + "\n")
+    (tmp_path / "big.txt").write_text("10000000\n")
+    for name in ("big.g6", "big.txt"):
+        start = time.perf_counter()
+        proc = run_cli("compute", str(tmp_path / name))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3, proc.stderr
+        assert "cap exceeded" in proc.stderr
+        assert elapsed < 1
+
+
 def test_cube_spec_checked_by_its_exponent():
     for d, cap in ((1, 2), (4, 16), (5, 32), (5, 63)):
         g, _ = inputs._load_within_cap(f"cube:{d}", cap, "dim_exact")
@@ -174,6 +221,31 @@ def test_embed_writes_file_and_summary(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 5
     assert all(len(line.split()) == 2 + 6 for line in lines)
+
+
+_EMBED_EDGES = {
+    "cycle:7": [(u, (u + 1) % 7) for u in range(7)],
+    "complete:5": list(itertools.combinations(range(5), 2)),
+    "kbip:3,4": [(a, 3 + b) for a in range(3) for b in range(4)],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_EMBED_EDGES))
+def test_embed_file_round_trip_is_exact(spec, tmp_path):
+    # read the written coordinates back as fractions and check the embedding
+    # without the library: unit squared edge lengths and distinct points
+    out = tmp_path / "g.emb"
+    proc = run_cli("embed", spec, "-o", str(out))
+    assert proc.returncode == 0, proc.stderr
+    points = {}
+    for line in out.read_text().splitlines():
+        v, _, *coords = line.split()
+        points[int(v)] = tuple(Fraction(x) for x in coords)
+    n = len(points)
+    assert sorted(points) == list(range(n))
+    assert len(set(points.values())) == n
+    for u, v in _EMBED_EDGES[spec]:
+        assert sum((a - b) ** 2 for a, b in zip(points[u], points[v])) == 1
 
 
 def test_embed_ambient_dims():
@@ -230,35 +302,35 @@ def test_diagnostics_go_to_stderr():
 # bytes the CLI prints before its newline; a file input's path is replaced
 # by "<file>".  "edges10" is _seeded_edge_list(), "edges0" the n = 0 file.
 _COMPUTE_DIGESTS = {
-    ("path:9", "all"): "38d73979fd926da5b0a8f5742b819c3b50ed3e6a2e6ac20ac7dc6689df29a450",
+    ("path:9", "all"): "7c841c034dd6de058d9eb7f00ebdeb133a5c7e04f4c60b6edd91e2ba70eff609",
     ("path:9", "dim"): "77b29d5ae05385d244ea2ed37c3ed55b9b4555fdea471c8967256ad58145411d",
     ("path:9", "subdim"): "17bd00b66106efe88e54194478f6da6027efd260cbe1b42a53f25abb7d96450a",
     ("path:9", "chi"): "66e9e6b52a810d370a4f1952c3df09164eb6753bed9265589deaf0eca8e6e415",
-    ("cycle:7", "all"): "c518ef7225e8987fcb9e3ce55870474ceb64fd89d4f84049761f34bb0493dd60",
+    ("cycle:7", "all"): "26f52881de65738dcbb92c2f66ee6fa4955a655b1c1f45bf389f15d9ffe938ce",
     ("cycle:7", "dim"): "a52df9cd659e718cfd97ace03aa82a94121b57547331971727d3afd69e12a273",
     ("cycle:7", "subdim"): "85c1e9662733a3a49e6bf207b48e68ac34ab55582222c5517aa493bbf03027fb",
     ("cycle:7", "chi"): "3812a28e904e3d80015d2d4ed4f2058cc28b5baeac7c1b03cc7298d7dcf2701f",
-    ("complete:10", "all"): "76a5abbd1d2202f2b9414d6bfc04b9226e6f61867b71c4d655bcace7a6197538",
+    ("complete:10", "all"): "c269e79aa47186170afb72ed93de698f3bb7d5edf21d72a3948d61e2fc788fd5",
     ("complete:10", "dim"): "de21abb497226c18b749e3510fa5576742d85980f83d6eb8e3446c4e8f4ab127",
     ("complete:10", "subdim"): "47a2341dc68a4c6c58b17a15b0acdc401615adf7387abbcb59b124aa2db35289",
     ("complete:10", "chi"): "6311cce56795af52eefc73f7ccbd362970c05f99a4a4d8ae40097cda28c3986a",
-    ("kbip:3,4", "all"): "4cebd4116db5fce52e3905cb6a1da1d3b06c5a1177cf9be25ba429167366512c",
+    ("kbip:3,4", "all"): "68e1bde9b7ca4b70dd2362e8d292c39f17e33855a5b22f7fe50dbdf4861f61f0",
     ("kbip:3,4", "dim"): "50cee7ab39d44654cb49b0be25c50b9e78f5bf66087234e67c7854113e3793fa",
     ("kbip:3,4", "subdim"): "9ca8abb652930ca4888a3852d2f72f604dadac659f1e1057a5169fd34d5e4ed5",
     ("kbip:3,4", "chi"): "c0cfc8ab9a789ddc30eaa723a1a62806b398127585f229668e412df073843fc1",
-    ("cube:3", "all"): "7fff4b55e1403e38ad989a6fecd533ffbe8ab021409b65e15ec8b042ca952c8b",
+    ("cube:3", "all"): "528f58a52615116fd10c9a98943e9eb8aa3ca05ac5e14e58a90671dd758ebd27",
     ("cube:3", "dim"): "f25a7eb0b4e7db6ffd8259b1677d81092cdbd4d9e4da5ae7b4f658df78a9f527",
     ("cube:3", "subdim"): "069bbd8ef7f3592e510a66d01288c4be0bbb96d38dd3d865db78351a1f58ef06",
     ("cube:3", "chi"): "f6d97387e1b7a02417b5327ec5b3c37479772cf5c288d6893aca0afaa9e8c22f",
     ("cayley:z:7;gens=1,2,5,6", "all"):
-        "318f6faeb16a7e47251392b49e48dcf9ecbb7d1b3e7b1ad7409384828ea6af5a",
+        "4f328758268e76071d325245f422dedfc2a3393b6f10104776177544a038e503",
     ("cayley:z:7;gens=1,2,5,6", "dim"):
         "e5a06b4b30d20518361b65a78dcbea24e52eaaf871f12201a7e466354e722c88",
     ("cayley:z:7;gens=1,2,5,6", "subdim"):
         "5f7448aaceba63aa86649b5a966d36b7bbefdcd060bf77e7e1dca701c1bab3ca",
     ("cayley:z:7;gens=1,2,5,6", "chi"):
         "c113dd0f79524cb03f7f2b93a3b2bf1f39e6907834458e0f1a7bc6e7406df460",
-    ("edges10", "all"): "211112b48610033fbc803d1ae3bd66abb3dbec1e1218f0aaeb89e87572b9bacd",
+    ("edges10", "all"): "3d6930aecf31f896cd8ea18c6ffd74e3ec64d70721b09de79d9d84b0b2034655",
     ("edges10", "dim"): "3d14dde862cbae5b3c7fde3c15c9ca2669a16d3c6b7942d63518a6d9a9ab7bd6",
     ("edges10", "subdim"): "1bc9fa51e94c567cbb675e660f82f3d99a678c84ee716313f42390ab04731a6b",
     ("edges10", "chi"): "76d746bda3a69269e3915fda97f2185ddc51988848bb5a729ee0797211c8b7d3",

@@ -1,7 +1,10 @@
-import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdim.coloring import (
     Coloring,
@@ -26,19 +29,24 @@ from graphdim.embedding import (
 )
 from graphdim.errors import DomainError
 
-from helpers import random_graph
+from helpers import _PACKAGE_ROOT, random_graph
 
-RADIUS = math.sqrt(0.5)
+HALF = Fraction(1, 2)
+
+
+def _squared_length(p, q):
+    """Dense exact squared distance, summed over every coordinate."""
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(p, q))
 
 
 def test_two_point_embedding_coordinates():
     g = complete_graph(2)
     emb = unit_distance_embed(g, Coloring((0, 1), 2))
     assert emb.ambient_dim == 4
-    assert emb.points[0] == (RADIUS, 0.0, 0.0, 0.0)
-    assert emb.points[1] == (0.0, 0.0, RADIUS, 0.0)
+    assert emb.points[0] == (-HALF, HALF, 0, 0)
+    assert emb.points[1] == (0, 0, -HALF, HALF)
     report = verify_embedding(g, emb)
-    assert report.ok and report.max_edge_error < 1e-12
+    assert report.edges_ok and report.distinct_ok and report.ok
 
 
 def test_single_class_circle_is_distinct():
@@ -48,7 +56,8 @@ def test_single_class_circle_is_distinct():
     report = verify_embedding(g, emb)
     assert report.distinct_ok
     for p in emb.points:
-        assert abs(math.hypot(*p) - RADIUS) < 1e-12
+        assert all(isinstance(x, Fraction) for x in p)
+        assert p[0] ** 2 + p[1] ** 2 == HALF
 
 
 def test_cycle5_with_three_colors():
@@ -56,8 +65,8 @@ def test_cycle5_with_three_colors():
     _, col = chromatic_number(g)
     emb = unit_distance_embed(g, col)
     assert emb.ambient_dim == 6
-    report = verify_embedding(g, emb, tol=1e-9)
-    assert report.ok
+    report = verify_embedding(g, emb)
+    assert report.edges_ok and report.distinct_ok
 
 
 def test_embed_requires_proper_coloring():
@@ -70,24 +79,33 @@ def test_embed_requires_proper_coloring():
 
 def test_verifier_flags_bad_edge_length():
     g = complete_graph(2)
-    emb = Embedding(2, ((0.0, 0.0), (2.0, 0.0)))
+    emb = Embedding(2, ((0, 0), (2, 0)))
     report = verify_embedding(g, emb)
     assert not report.edges_ok and not report.ok
-    assert report.max_edge_error == pytest.approx(1.0)
+    assert report.distinct_ok
+
+
+def test_verifier_counts_shared_coordinates():
+    # endpoints in the same coordinate pair: the inner product term matters
+    g = complete_graph(2)
+    assert verify_embedding(g, Embedding(2, ((HALF, 0), (-HALF, 0)))).edges_ok
+    assert verify_embedding(g, Embedding(2, ((0, 0), (Fraction(3, 5), Fraction(4, 5))))).ok
+    assert not verify_embedding(g, Embedding(2, ((HALF, 0), (HALF, HALF)))).edges_ok
 
 
 def test_verifier_flags_coincident_points():
     g = Graph(2, (0, 0))
-    emb = Embedding(2, ((RADIUS, 0.0), (RADIUS, 0.0)))
+    emb = Embedding(2, ((-HALF, HALF), (-HALF, HALF)))
     report = verify_embedding(g, emb)
-    assert not report.distinct_ok
+    assert not report.distinct_ok and not report.ok
+    assert report.edges_ok
 
 
 def test_verifier_single_vertex():
     g = path_graph(1)
     emb = unit_distance_embed(g, Coloring((0,), 1))
     report = verify_embedding(g, emb)
-    assert report.ok and report.min_pair_distance == math.inf
+    assert report.edges_ok and report.distinct_ok
 
 
 def test_edges_exactly_unit_squared_for_every_colorer():
@@ -104,8 +122,7 @@ def test_edges_exactly_unit_squared_for_every_colorer():
             emb = unit_distance_embed(g, col)
             assert emb.ambient_dim == 2 * col.palette_size
             for u, v in g.edges():
-                sq = sum((a - b) ** 2 for a, b in zip(emb.points[u], emb.points[v]))
-                assert abs(sq - 1.0) <= 1e-12
+                assert _squared_length(emb.points[u], emb.points[v]) == 1
             assert verify_embedding(g, emb).ok
 
 
@@ -113,9 +130,45 @@ def test_separation_in_a_thousand_point_class():
     n = 1000
     g = Graph(n, (0,) * n)
     emb = unit_distance_embed(g, Coloring((0,) * n, 1))
-    report = verify_embedding(g, emb, tol=1e-6)
+    report = verify_embedding(g, emb)
     assert report.distinct_ok
-    assert report.min_pair_distance > 1e-6
+    assert len(set(emb.points)) == n
+
+
+def _colorings(g):
+    return [chromatic_number(g)[1], decomposition_coloring(g)[0],
+            greedy_coloring(g, range(g.n))]
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))),
+       st.integers(0, 2**16))
+def test_exact_check_accepts_embeddings_and_rejects_any_change(case, pick):
+    n, coins = case
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    g = Graph.from_edges(n, [e for e, coin in zip(pairs, coins) if coin])
+    for col in _colorings(g):
+        emb = unit_distance_embed(g, col)
+        assert verify_embedding(g, emb).ok
+        edges = list(g.edges())
+        if edges:
+            # one nonzero coordinate of one endpoint off by 10^-12
+            u = edges[pick % len(edges)][pick % 2]
+            bent = list(emb.points)
+            i = next(i for i, x in enumerate(bent[u]) if x)
+            bent[u] = bent[u][:i] + (bent[u][i] + Fraction(1, 10**12),) + bent[u][i + 1:]
+            report = verify_embedding(g, Embedding(emb.ambient_dim, tuple(bent)))
+            assert not report.edges_ok
+        if n >= 2:
+            # one point copied onto another
+            a = pick % n
+            b = (a + 1 + pick // n % (n - 1)) % n
+            copied = list(emb.points)
+            copied[b] = copied[a]
+            report = verify_embedding(g, Embedding(emb.ambient_dim, tuple(copied)))
+            assert not report.distinct_ok
 
 
 # the two constructive bounds on the unit-distance dimension: 2 * chi,
@@ -169,6 +222,16 @@ def test_format_embedding_layout():
         fields = line.split()
         assert int(fields[0]) == v
         assert int(fields[1]) == col.colors[v]
-        coords = [float(x) for x in fields[2:]]
-        assert len(coords) == emb.ambient_dim
-        assert coords == pytest.approx(list(emb.points[v]))
+        assert fields[2:] == [str(x) for x in emb.points[v]]
+        assert tuple(Fraction(x) for x in fields[2:]) == emb.points[v]
+
+
+def test_import_leaves_fractions_and_decimal_unloaded():
+    # unit_distance_embed imports Fraction when called: at module level it
+    # would load decimal on every `import graphdim` and slow start-up
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import graphdim; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, _PACKAGE_ROOT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -57,7 +57,7 @@ _SUITE_DIGESTS = {
     ("oracle", None): "e6b2e43918fc146c95f6010c2e2b161ec6468526b03cac1e35198367dcc59e31",
     ("theorem2", 4): "eccd8688925c2df65a9bdeb105c486d79a601ab098998c4ba87ce4dfc9477a58",
     ("lemma2", 4): "5d99c50afaac39ea29cfaf43b6d3b8adf95f392b2ee5134301cde2d2df8e55fd",
-    ("corollary1", 4): "575341a6f21e7f9fa90722df799cab1513c73c3b0b5921dbd147f674d10f756f",
+    ("corollary1", 4): "447991443074f48c3167218217dc69d9c6db3ac92868e5e6b12a50b05324542e",
 }
 
 
