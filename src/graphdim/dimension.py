@@ -173,12 +173,21 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     proper host S and a vertex u outside it, every majority subset of S+u
     contains a majority subset of S, so subdim(S+u) >= subdim(S), and S+u
     comes earlier in the scan; an odd host can therefore never raise the
-    maximum or become its witness.  A host S is skipped when its induced
-    max degree is at most the incumbent, since subdim never exceeds it;
-    surviving hosts are scanned upward from the incumbent bound, so a host
-    that cannot improve costs a single decision call.  The reported
-    witness is the first host, in order of decreasing size and then
-    ascending mask, that reached the final value.
+    maximum or become its witness.  The scan stops at the first size
+    m <= 2*best: a majority subset has m/2 + 1 vertices, so its max degree,
+    and with it subdim of the host, is at most m/2.
+
+    A host is settled without a decision call when it holds m/2 + 1 members
+    of a settled set: a vertex set whose induced max degree is at most the
+    incumbent.  The settled sets are the full set's witness and the witness
+    of every decision scan, each grown by adding vertices in ascending order
+    while its max degree stays within the incumbent; they stay settled as
+    the incumbent rises.  A settled host has subdim at most the incumbent,
+    exactly what its decision scan would have shown, so the certificates
+    equal those of scanning every even host.  The other hosts are scanned
+    upward from the incumbent.  The reported witness is the first host, in
+    order of decreasing size and then ascending mask, that reached the final
+    value.
     """
     require_within_cap(g.n, cap, "dim_exact")
     if g.n == 0:
@@ -192,16 +201,34 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
     best = full.value
     best_host = g.vertex_mask
     best_inner = full
+
+    def grown(m: int) -> int:
+        # add vertices in ascending order while the induced max degree stays <= best
+        for v in range(g.n):
+            if not m >> v & 1 and _induced_max_degree(adj, m | 1 << v) <= best:
+                m |= 1 << v
+        return m
+
+    # vertex sets with induced max degree <= best, most recently useful first
+    settled = [grown(full.witness_min)]
     # An odd proper host S and u outside it: every majority of S+u holds a
     # majority of S, so S+u, scanned earlier, already bounds subdim(S).
     for size in range((g.n - 1) & ~1, 0, -2):
+        if size <= 2 * best:
+            break  # an s-set has max degree <= s - 1 = size/2 <= best
         s = size // 2 + 1
         for host in subsets_of_size(g.n, size):
-            if _induced_max_degree(adj, host) <= best:
-                continue
-            value, witness = _subdim_scan(g, host, s, best)
-            if value > best:
-                best = value
-                best_host = host
-                best_inner = SubdimCertificate(value=value, witness_min=witness, host_size=size)
+            for i, m in enumerate(settled):
+                if (m & host).bit_count() >= s:
+                    if i:
+                        settled.insert(0, settled.pop(i))
+                    break  # s members of m in the host: subdim(host) <= best
+            else:
+                value, witness = _subdim_scan(g, host, s, best)
+                if value > best:
+                    best = value
+                    best_host = host
+                    best_inner = SubdimCertificate(value=value, witness_min=witness,
+                                                   host_size=size)
+                settled.insert(0, grown(witness))
     return DimCertificate(value=best, witness_max=best_host, inner=best_inner)

@@ -16,8 +16,8 @@ literally and must already be closed under negation.
 Files ending in .g6 are read as graph6; otherwise a file whose first
 non-blank line is a lone integer is read as an edge list, and anything
 else as graph6.  A file's vertex count is read from its header (that
-integer, or the graph6 size bytes) before the rest is parsed, so the cap
-is checked before any work that grows with the file.
+integer, or the graph6 size bytes) before the rest is read, so the cap
+is checked before any work or memory that grows with the file.
 """
 
 from __future__ import annotations
@@ -109,24 +109,42 @@ def _family_params(spec: str) -> tuple[str, tuple] | None:
     return token, tuple(params)
 
 
+# bytes of a file's first non-blank line read before the cap check: more than
+# any vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
+_HEAD = 64
+
+
+def _read_text(path: str) -> str:
+    """The whole file as text; a byte outside ASCII is a ParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not an ASCII graph file") from None
+
+
 def _read_file(path: str) -> tuple[int, Callable[[], Graph]]:
     """The vertex count a graph file's header declares, and a call that
-    parses the whole file.  Only the header is decoded here, so a caller can
-    check the count before any work that grows with it."""
+    reads and parses the whole file.  Only the first non-blank line is read
+    here (at most _HEAD bytes of it), so a caller can check the count before
+    any work or memory that grows with the file."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise ParseError(f"{path} is not an ASCII graph file") from None
-    head = re.match(r"\s*([^\n]*)", text).group(1)  # the rest stays unsplit
-    first = head.splitlines()[0].strip() if head else ""  # first non-blank line
+    head = ""
+    with open(path, "rb") as fh:
+        while len(head) < _HEAD and "\n" not in head:  # until the first non-blank line ends
+            block = fh.read(_HEAD).decode("ascii", "surrogateescape")
+            if not block:
+                break
+            head = (head + block).lstrip()
+    first = head.splitlines()[0].strip() if head else ""
+    if not first.isascii():
+        raise ParseError(f"{path} is not an ASCII graph file")
     if not path.endswith(".g6") and re.fullmatch(r"-?[0-9]+", first):
-        return int(first), lambda: parse_edge_list(text)
+        return int(first), lambda: parse_edge_list(_read_text(path))
     first = first.removeprefix(">>graph6<<")
-    return _g6_header(first[:4].encode("ascii"))[0], lambda: parse_graph6(text)
+    return _g6_header(first[:4].encode("ascii"))[0], lambda: parse_graph6(_read_text(path))
 
 
 def load_input(spec: str) -> tuple[Graph, dict]:

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdim import cayley
 from graphdim.cayley import (
@@ -161,6 +162,22 @@ def test_counting_identity_random_triples():
         s = rng.getrandbits(grp.size)
         total, expected = counting_identity(grp, w, s)
         assert total == expected
+
+
+def _group_and_two_sets():
+    orders = st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(
+        lambda o: math.prod(o) <= 64)
+    return orders.flatmap(lambda o: st.tuples(
+        st.just(AbelianGroup(tuple(o))),
+        st.integers(0, 2**math.prod(o) - 1), st.integers(0, 2**math.prod(o) - 1)))
+
+
+@settings(derandomize=True, database=None)
+@given(_group_and_two_sets())
+def test_counting_identity_property(case):
+    grp, w, s = case
+    total, expected = counting_identity(grp, w, s)
+    assert total == expected == w.bit_count() * s.bit_count()
 
 
 def test_best_translate_self_overlap():

@@ -193,6 +193,49 @@ def test_oversize_files_exit_3_within_a_second(tmp_path):
         assert elapsed < 1
 
 
+def test_non_ascii_body_after_an_oversize_header_exits_3(tmp_path):
+    # the body is read, and decoded, only after the header passed the cap
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"10000000\n0 1\n\xff\n")
+    proc = run_cli("compute", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert "cap exceeded" in proc.stderr
+    path.write_bytes(b"5\n0 1\n\xff\n")
+    proc = run_cli("compute", str(path))
+    assert proc.returncode == 2 and "not an ASCII graph file" in proc.stderr
+
+
+# VmHWM is the peak resident set of this process image; ru_maxrss would
+# also carry the peak of the (larger) pytest process it was forked from
+_PEAK_SCRIPT = """
+import sys
+from graphdim import cli
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+before = peak_kb()
+code = cli.main(["compute", sys.argv[1]])
+print(code, peak_kb() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_oversize_file_refused_without_reading_its_body(tmp_path):
+    # about 16 MB each: reading either file whole would raise the peak by more
+    n = 12000  # an empty graph in graph6
+    head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    (tmp_path / "big.g6").write_text(head + "?" * ((n * (n - 1) // 2 + 5) // 6) + "\n")
+    (tmp_path / "big.txt").write_text("3000000\n" + "0 1\n" * 4_000_000)
+    for name in ("big.g6", "big.txt"):
+        proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(tmp_path / name)],
+                              capture_output=True, text=True, env=subprocess_env())
+        code, grown_kb = map(int, proc.stdout.split())
+        assert code == 3, proc.stderr
+        assert grown_kb < 4096
+
+
 def test_cube_spec_checked_by_its_exponent():
     for d, cap in ((1, 2), (4, 16), (5, 32), (5, 63)):
         g, _ = inputs._load_within_cap(f"cube:{d}", cap, "dim_exact")

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import sys
@@ -305,12 +306,21 @@ def test_dim_isomorphism_invariant():
         assert dim_exact(relabel(g, perm)).value == dim_exact(g).value
 
 
+@settings(derandomize=True, database=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.5, 0.8]), st.permutations(range(n)))))
+def test_dim_relabel_invariant_property(case):
+    seed, p, perm = case
+    g = random_graph(random.Random(seed), len(perm), p)
+    assert dim_exact(relabel(g, perm)).value == dim_exact(g).value
+
+
 def test_dim_exhaustive_definition_small():
     # literal double enumeration: max over hosts of min over majority subsets;
     # the witness is the first maximizing host by decreasing size, then mask
     rng = random.Random(30)
-    for _ in range(25):
-        n = rng.randint(1, 8)
+    sizes = [rng.randint(1, 8) for _ in range(25)] + [9, 9, 9, 10, 10, 10]
+    for n in sizes:
         g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.8]))
         hosts = sorted(range(1, 1 << n), key=lambda host: (-host.bit_count(), host))
         values = [subdim_naive(g, host).value for host in hosts]
@@ -335,7 +345,8 @@ def test_odd_host_grows_by_one_vertex_property(case):
     assert subdim_naive(g, grown).value >= subdim_naive(g, host).value
 
 
-def test_dim_scans_no_odd_proper_host(monkeypatch):
+def _decision_hosts(monkeypatch):
+    """The host of every subdim_exists call made through the dimension module."""
     hosts = []
 
     def recording(g, subset, s, d):
@@ -343,11 +354,57 @@ def test_dim_scans_no_odd_proper_host(monkeypatch):
         return subdim_exists(g, subset, s, d)
 
     monkeypatch.setattr(dimension, "subdim_exists", recording)
-    for g in (cycle_graph(9), complete_graph(10), random_graph(random.Random(32), 10)):
+    return hosts
+
+
+def test_dim_scans_no_odd_proper_host(monkeypatch):
+    hosts = _decision_hosts(monkeypatch)
+    for g in (cycle_graph(9), complete_bipartite_graph(3, 7),
+              random_graph(random.Random(32), 10)):
         del hosts[:]
         dim_exact(g)
         proper = [host for host in hosts if host != g.vertex_mask]
         assert proper and all(host.bit_count() % 2 == 0 for host in proper)
+
+
+def test_dim_of_a_clique_scans_no_proper_host(monkeypatch):
+    # subdim(K_n) = floor(n/2) already bounds every proper host of size <= n - 1
+    hosts = _decision_hosts(monkeypatch)
+    for n in range(1, 14):
+        del hosts[:]
+        g = complete_graph(n)
+        assert dim_exact(g).value == n // 2
+        assert hosts and set(hosts) == {g.vertex_mask}
+
+
+def test_dim_decision_call_counts(monkeypatch):
+    # the host scan's cost in decision calls, the same on every machine
+    hosts = _decision_hosts(monkeypatch)
+    counts = []
+    for g in (cycle_graph(9), cycle_graph(16), random_graph(random.Random(32), 12)):
+        del hosts[:]
+        dim_exact(g)
+        counts.append(len(hosts))
+    assert counts == [6, 8, 29]
+
+
+# sha256 of the certificates of test_dim_certificates_pinned's 210 graphs,
+# recorded with the exhaustive host scan (a decision call per even host)
+_DIM_CERTIFICATES_DIGEST = "cf198d7c81ee3858a5ebfda501d0ba80aeb23b4aeb7c8825e21d0fd9d158baf5"
+
+
+def test_dim_certificates_pinned():
+    # five seeded graphs for each n = 1..14 and p = 0.2, 0.5, 0.8
+    rng = random.Random(1201)
+    rows = []
+    for n in range(1, 15):
+        for p in (0.2, 0.5, 0.8):
+            for _ in range(5):
+                cert = dim_exact(random_graph(rng, n, p))
+                inner = cert.inner
+                rows.append((cert.value, cert.witness_max, inner.value, inner.witness_min,
+                             inner.host_size))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _DIM_CERTIFICATES_DIGEST
 
 
 def test_dim_cap_enforced():
