@@ -209,7 +209,9 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
                 m |= 1 << v
         return m
 
-    # vertex sets with induced max degree <= best, most recently useful first
+    # vertex sets with induced max degree <= best: the full set's witness and
+    # each scanned host's witness, grown.  A scanned host meets every earlier
+    # set in fewer than s vertices, so its s-vertex witness grows to a new set.
     settled = [grown(full.witness_min)]
     # An odd proper host S and u outside it: every majority of S+u holds a
     # majority of S, so S+u, scanned earlier, already bounds subdim(S).
@@ -218,10 +220,8 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
             break  # an s-set has max degree <= s - 1 = size/2 <= best
         s = size // 2 + 1
         for host in subsets_of_size(g.n, size):
-            for i, m in enumerate(settled):
+            for m in settled:
                 if (m & host).bit_count() >= s:
-                    if i:
-                        settled.insert(0, settled.pop(i))
                     break  # s members of m in the host: subdim(host) <= best
             else:
                 value, witness = _subdim_scan(g, host, s, best)
@@ -230,5 +230,5 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
                     best_host = host
                     best_inner = SubdimCertificate(value=value, witness_min=witness,
                                                    host_size=size)
-                settled.insert(0, grown(witness))
+                settled.append(grown(witness))
     return DimCertificate(value=best, witness_max=best_host, inner=best_inner)

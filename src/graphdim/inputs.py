@@ -17,7 +17,9 @@ Files ending in .g6 are read as graph6; otherwise a file whose first
 non-blank line is a lone integer is read as an edge list, and anything
 else as graph6.  A file's vertex count is read from its header (that
 integer, or the graph6 size bytes) before the rest is read, so the cap
-is checked before any work or memory that grows with the file.
+is checked before any work or memory that grows with the file; a count
+line that does not end within its first 64 bytes is refused (CapExceeded).
+The file is read once, through one handle, so pipes and FIFOs work too.
 """
 
 from __future__ import annotations
@@ -114,37 +116,40 @@ def _family_params(spec: str) -> tuple[str, tuple] | None:
 _HEAD = 64
 
 
-def _read_text(path: str) -> str:
-    """The whole file as text; a byte outside ASCII is a ParseError."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        raise ParseError(f"{path} is not an ASCII graph file") from None
-
-
-def _read_file(path: str) -> tuple[int, Callable[[], Graph]]:
-    """The vertex count a graph file's header declares, and a call that
-    reads and parses the whole file.  Only the first non-blank line is read
-    here (at most _HEAD bytes of it), so a caller can check the count before
-    any work or memory that grows with the file."""
+def _read_file(path: str, check: Callable[[int], None]) -> Graph:
+    """Read and parse a graph file through one handle.  The vertex count its
+    header declares goes to `check` once the first non-blank line is read
+    (at most _HEAD bytes past its start), so the caller can refuse the file
+    before any work or memory that grows with the file."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
-    head = ""
     with open(path, "rb") as fh:
-        while len(head) < _HEAD and "\n" not in head:  # until the first non-blank line ends
-            block = fh.read(_HEAD).decode("ascii", "surrogateescape")
-            if not block:
+        raw = bytearray()
+        head = ""
+        while True:  # until the first non-blank line ends, _HEAD bytes of it, or EOF
+            block = fh.read(_HEAD)
+            raw += block
+            head = (head + block.decode("ascii", "surrogateescape")).lstrip()
+            if not block or "\n" in head or len(head) >= _HEAD:
                 break
-            head = (head + block).lstrip()
-    first = head.splitlines()[0].strip() if head else ""
-    if not first.isascii():
-        raise ParseError(f"{path} is not an ASCII graph file")
-    if not path.endswith(".g6") and re.fullmatch(r"-?[0-9]+", first):
-        return int(first), lambda: parse_edge_list(_read_text(path))
-    first = first.removeprefix(">>graph6<<")
-    return _g6_header(first[:4].encode("ascii"))[0], lambda: parse_graph6(_read_text(path))
+        first = head.splitlines()[0].strip() if head else ""
+        if not first.isascii():
+            raise ParseError(f"{path} is not an ASCII graph file")
+        if not path.endswith(".g6") and re.fullmatch(r"-?[0-9]+", first):
+            if block and first == head:  # the digits run on past the head
+                raise CapExceeded(
+                    f"{path}: its vertex count line does not end within {_HEAD} bytes")
+            n, parse = int(first), parse_edge_list
+        else:
+            n = _g6_header(first.removeprefix(">>graph6<<")[:4].encode("ascii"))[0]
+            parse = parse_graph6
+        check(n)
+        try:
+            text = (raw + fh.read()).decode("ascii")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} is not an ASCII graph file") from None
+    return parse(text)
 
 
 def load_input(spec: str) -> tuple[Graph, dict]:
@@ -153,7 +158,7 @@ def load_input(spec: str) -> tuple[Graph, dict]:
     if family is not None:
         token, params = family
         return _FAMILIES[token][1](*params), {"input": spec, "kind": "family"}
-    return _read_file(spec)[1](), {"input": spec, "kind": "file"}
+    return _read_file(spec, lambda n: None), {"input": spec, "kind": "file"}
 
 
 def _load_within_cap(spec: str, cap: int | None, what: str) -> tuple[Graph, dict]:
@@ -162,9 +167,8 @@ def _load_within_cap(spec: str, cap: int | None, what: str) -> tuple[Graph, dict
     anything is parsed or built."""
     family = _family_params(spec)
     if family is None:
-        n, parse = _read_file(spec)
-        require_within_cap(n, cap, what)
-        return parse(), {"input": spec, "kind": "file"}
+        g = _read_file(spec, lambda n: require_within_cap(n, cap, what))
+        return g, {"input": spec, "kind": "file"}
     token, params = family
     limit = resolve_cap(cap)
     if token != "cube":

@@ -205,6 +205,47 @@ def test_non_ascii_body_after_an_oversize_header_exits_3(tmp_path):
     assert proc.returncode == 2 and "not an ASCII graph file" in proc.stderr
 
 
+def test_vertex_count_line_cut_by_the_head_exits_3(tmp_path):
+    # only the head of the count line is read: leading zeros must not hide
+    # the digits after it
+    for count in ("0" * 64 + "1000000000", "7" * 70, "0" * 70):
+        path = tmp_path / "long.txt"
+        path.write_text(count + "\n0 1\n")
+        start = time.perf_counter()
+        proc = run_cli("compute", str(path))
+        assert proc.returncode == 3, proc.stderr
+        assert "does not end within 64 bytes" in proc.stderr
+        assert time.perf_counter() - start < 1
+    path.write_text(" \n" + "0" * 62 + "5\n0 1\n")  # 63 digits: read whole
+    g, _ = inputs._load_within_cap(str(path), None, "dim_exact")
+    assert g.n == 5 and g.adj[0] == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+def test_graph_files_read_once_from_a_pipe():
+    # a pipe can be read only once: the header and the body share one handle
+    for text in ("5\n0 1\n1 2\n", "5\n" + "0 1\n1 2\n" * 4000):  # one buffer, and more
+        r, w = os.pipe()
+        try:
+            os.write(w, text.encode())  # under 64 KB: fits the pipe without a reader
+            os.close(w)
+            g, descriptor = inputs._load_within_cap(f"/dev/fd/{r}", None, "dim_exact")
+        finally:
+            os.close(r)
+        assert descriptor["kind"] == "file"
+        assert g.n == 5 and g.adj[:3] == (2, 5, 2)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_compute_reads_a_graph_from_stdin():
+    for text in (encode_graph6(cycle_graph(7)) + "\n", "7\n" + "0 1\n" * 3000):
+        proc = subprocess.run([sys.executable, "-m", "graphdim", "compute", "/dev/stdin",
+                               "--which", "chi"], input=text, capture_output=True, text=True,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["graph"]["n"] == 7
+
+
 # VmHWM is the peak resident set of this process image; ru_maxrss would
 # also carry the peak of the (larger) pytest process it was forked from
 _PEAK_SCRIPT = """
