@@ -12,9 +12,7 @@ unit-distance embeddings built from proper colorings.
 from .cayley import (
     AbelianGroup,
     GeneratorSet,
-    best_translate,
     cayley_graph,
-    counting_identity,
     dim_via_transitivity,
     translate,
 )

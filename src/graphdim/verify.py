@@ -7,8 +7,9 @@ graph on up to six vertices; redundancy across isomorphic graphs is
 deliberate, since it needs no canonization and each instance stays
 independently replayable.  The sweep suites share one cached sweep that
 checks its size first, then enumerates each graph and computes its
-invariants once.  All randomness is seeded, so repeated runs produce
-identical reports.
+invariants once.  Every capped solver call takes its bound from the graph
+it checks, so GRAPHDIM_CAP never changes a report.  All randomness is
+seeded, so repeated runs produce identical reports.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from functools import lru_cache
 from .cayley import (
     AbelianGroup,
     GeneratorSet,
-    best_translate,
     cayley_graph,
-    counting_identity,
     dim_via_transitivity,
+    translate,
 )
 from .coloring import (
     _decompose,
@@ -39,7 +39,7 @@ from .core import Graph, bits_of, encode_graph6, hypercube_graph, max_degree_wit
 from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
-from .inputs import load_input
+from .inputs import load_input, parse_cayley_spec
 
 __all__ = ["SUITE_NAMES", "enumerate_labeled_graphs", "run_suite", "run_all"]
 
@@ -76,7 +76,7 @@ def _sweep_stats(n: int) -> list[tuple]:
     out = []
     for g in enumerate_labeled_graphs(n):
         full = subdim(g, g.vertex_mask)
-        chi = chromatic_number_within(g, g.vertex_mask)
+        chi = chromatic_number_within(g, g.vertex_mask, cap=n)
         out.append((g, encode_graph6(g), chi, full, _dim_search(g, full).value))
     return out
 
@@ -146,12 +146,12 @@ def suite_theorem1(cap: int | None = None) -> dict:
     instances = []
     for n in (1, 2, 3):
         g = hypercube_graph(n)
-        got = dim_exact(g).value
+        got = dim_exact(g, cap=g.n).value
         instances.append({"case": f"cube:{n}", "metric": "dim_exact",
                           "got": got, "want": _ceil_sqrt(n), "ok": got == _ceil_sqrt(n)})
     grp = AbelianGroup((2,) * 4)
     gens = GeneratorSet({1 << i for i in range(4)})
-    cert = dim_via_transitivity(grp, gens)
+    cert = dim_via_transitivity(grp, gens, cap=grp.size)
     instances.append({"case": "cube:4", "metric": "dim_via_transitivity",
                       "got": cert.value, "want": 2, "ok": cert.value == 2})
     q4 = hypercube_graph(4)
@@ -177,12 +177,11 @@ def _prop1_cases() -> list[str]:
 
 def suite_prop1(cap: int | None = None) -> dict:
     """Translation shortcut agrees with the exhaustive solver on Cayley graphs."""
-    from .inputs import parse_cayley_spec
     instances = []
     for case in _prop1_cases():
         grp, gens = parse_cayley_spec(case[len("cayley:"):])
-        shortcut = dim_via_transitivity(grp, gens).value
-        exhaustive = dim_exact(cayley_graph(grp, gens)).value
+        shortcut = dim_via_transitivity(grp, gens, cap=grp.size).value
+        exhaustive = dim_exact(cayley_graph(grp, gens), cap=grp.size).value
         instances.append({"case": case, "metric": "dim", "got": shortcut,
                           "want": exhaustive, "ok": shortcut == exhaustive})
     return _suite_report("prop1", {}, instances)
@@ -213,8 +212,8 @@ def suite_lemma2(cap: int | None = None) -> dict:
     max_n, records = _sweep(cap)
     instances = []
     for g, g6, chi, _, _ in records:
-        core = critical_subgraph(g)
-        core_chi = chromatic_number_within(g, core)
+        core = critical_subgraph(g, cap=g.n)
+        core_chi = chromatic_number_within(g, core, cap=g.n)
         preserved = core_chi == chi
         degrees_ok = all((g.adj[v] & core).bit_count() >= core_chi - 1 for v in bits_of(core))
         instances.append({"case": g6, "chi": chi,
@@ -236,7 +235,7 @@ def suite_corollary1(cap: int | None = None) -> dict:
         instances.append({"case": g6, "bound_via_chi": via_chi,
                           "bound_via_dim": via_dim, "ok": via_chi <= via_dim})
         if counter % _EMBED_SAMPLE_STRIDE == 0:
-            _, col = chromatic_number(g)
+            _, col = chromatic_number(g, cap=g.n)
             report = verify_embedding(g, unit_distance_embed(g, col))
             instances.append({"case": g6, "ambient": report.ambient_dim,
                               "want_ambient": 2 * chi,
@@ -247,7 +246,17 @@ def suite_corollary1(cap: int | None = None) -> dict:
 def suite_identity(cap: int | None = None) -> dict:
     """Exact translate-overlap counting and the averaging consequence, on
     seeded random triples, plus exhaustive majority coverage on the
-    3-dimensional cube."""
+    3-dimensional cube.
+
+    For W, S in an abelian group of order N, each pair (w, s) lies in
+    exactly one translate's overlap (W + a) & S, namely a = s - w, so the
+    overlaps over all N translates sum to |W| * |S| and the largest is at
+    least ceil(|W| * |S| / N).  The half-witness W of the whole graph is a
+    majority of the group, so that average exceeds |S| / 2 and some
+    translate of W covers a majority of every S: the reason dim == subdim
+    on Cayley graphs.  Each translate is built once and its overlaps are
+    counted here, so the identity is checked rather than assumed.
+    """
     rng = random.Random(_IDENTITY_SEED)
     instances = []
     for trial in range(100):
@@ -259,9 +268,10 @@ def suite_identity(cap: int | None = None) -> dict:
         size = grp.size
         w_set = rng.getrandbits(size)
         s_set = rng.getrandbits(size)
-        total, expected = counting_identity(grp, w_set, s_set)
-        _, overlap = best_translate(grp, w_set, s_set)
-        needed = -(-w_set.bit_count() * s_set.bit_count() // size)
+        overlaps = [(translate(grp, w_set, a) & s_set).bit_count() for a in range(size)]
+        total, overlap = sum(overlaps), max(overlaps)
+        expected = w_set.bit_count() * s_set.bit_count()
+        needed = -(-expected // size)
         instances.append({
             "case": "z:" + ",".join(map(str, orders)) + f" #{trial:03d}",
             "sum": total, "expected": expected,
@@ -272,8 +282,9 @@ def suite_identity(cap: int | None = None) -> dict:
     gens = GeneratorSet({1, 2, 4})
     g = cayley_graph(grp, gens)
     witness = subdim(g, g.vertex_mask).witness_min
+    images = [translate(grp, witness, a) for a in range(grp.size)]
     for s_set in range(1, 1 << g.n):
-        _, overlap = best_translate(grp, witness, s_set)
+        overlap = max((t & s_set).bit_count() for t in images)
         needed = s_set.bit_count() // 2 + 1
         instances.append({"case": f"coverage z:2,2,2 S=0x{s_set:02x}",
                           "overlap": overlap, "overlap_needed": needed,

@@ -216,7 +216,7 @@ def test_critical_preserves_chi_and_is_critical():
             assert chromatic_number_within(g, core ^ (1 << v)) == chi - 1
 
 
-def test_critical_beyond_table_fast_path():
+def test_a_13_cycle_is_already_critical():
     # a 13-cycle: each vertex is decided once and none can be removed
     g = Graph.from_edges(13, [(i, i + 1) for i in range(12)] + [(12, 0)])
     core = critical_subgraph(g)

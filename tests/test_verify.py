@@ -58,6 +58,7 @@ _SUITE_DIGESTS = {
     ("theorem2", 4): "eccd8688925c2df65a9bdeb105c486d79a601ab098998c4ba87ce4dfc9477a58",
     ("lemma2", 4): "5d99c50afaac39ea29cfaf43b6d3b8adf95f392b2ee5134301cde2d2df8e55fd",
     ("corollary1", 4): "447991443074f48c3167218217dc69d9c6db3ac92868e5e6b12a50b05324542e",
+    ("identity", None): "8e350f7cc89feb972ae8dd9f0ddeea4b621ec2636c32c8a1acf604aae4f1f1a7",
 }
 
 
@@ -93,6 +94,16 @@ def test_sweep_suites_enumerate_and_solve_each_graph_once(monkeypatch):
         _sweep_stats.cache_clear()  # drop records built under the patches
     assert enumerations == 4
     assert full_subdims == 1 + 2 + 8 + 64
+
+
+@pytest.mark.parametrize("env_cap", ["2", "abc"])
+def test_verify_ignores_the_cap_environment_variable(env_cap, monkeypatch):
+    monkeypatch.delenv("GRAPHDIM_CAP", raising=False)
+    _sweep_stats.cache_clear()
+    want = run_all(3)
+    monkeypatch.setenv("GRAPHDIM_CAP", env_cap)
+    _sweep_stats.cache_clear()
+    assert run_all(3) == want
 
 
 def _refuse(*args):
