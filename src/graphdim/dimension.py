@@ -15,14 +15,20 @@ return the same value and the same witness: subsets are explored in
 increasing numeric bitset order, so the reported witness is always the
 numerically smallest optimal subset and certificates compare bit-for-bit
 across routes and runs.
+
+The branch and bound keeps one candidate bitset per depth.  Including a
+member cuts from the next depth's candidates every neighbor of a member that
+now has the full d included neighbors, and a depth is left as soon as fewer
+candidates remain than members are still needed.  A cut vertex could never
+have joined that branch, so the cuts remove only selections that fail, and
+the search meets the surviving ones in the same numeric order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Graph, _check_subset, _induced_max_degree, bits_of, subsets_of_mask,
-                   subsets_of_size)
+from .core import Graph, _check_subset, _induced_max_degree, subsets_of_mask, subsets_of_size
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -70,52 +76,82 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     Branch and bound that picks the included members from the highest
     down: each branch chooses the next member below the last one chosen,
     lowest candidate first, so complete selections appear in increasing
-    numeric order; a candidate must leave enough members below it to reach
-    size s.  The search state is the bitset of included vertices and a stack
-    of candidate iterators; a vertex's included-neighbor count is read as
-    |adj[v] & included|.  A candidate is skipped when it, or an included
-    neighbor, would exceed d included neighbors.
+    numeric order.
+
+    The search state is the bitset of included vertices and, per depth,
+    the candidate bitset the depth was entered with (origin) and the part of
+    it still to try (pool); members are chosen in descending order, so
+    backtracking drops the lowest included vertex.  A member is saturated
+    when it has d included neighbors; no vertex adjacent to a saturated
+    member may join.  Including v therefore cuts from the next depth's
+    candidates, origin & (low - 1), the neighbors of v if v is saturated
+    and the neighbors of each included neighbor of v that v saturates.  A
+    pick is rejected when it has more than d included neighbors, and a
+    branch is left at once when fewer candidates remain than members are
+    still needed; a depth that needs `need` members skips its lowest
+    need - 1 candidates, which must stay free to lie below its pick.
+
+    The cuts change no leaf order: a cut vertex would have made a
+    saturated member exceed d, and since the included set and the cuts only
+    grow along a branch it could never have joined below that point either.
+    So every pruned branch holds no complete selection, the first complete
+    selection is still the numerically smallest witness, and an exhausted
+    search is still a refutation.
 
     Uncapped by design, like subdim: the capped entry points (dim_exact,
     decomposition_coloring, dim_via_transitivity, the CLI) check the cap
     before they call either, and a direct caller owns that check.
     """
     _check_subset(g, subset)
-    members = bits_of(subset)
-    k = len(members)
+    k = subset.bit_count()
     if s < 0 or s > k:
         raise DomainError(f"target size {s} out of range for a {k}-element host")
     if d < 0:
         return None
+    if s == 0:
+        return 0
     adj = g.adj
-    candidates = [iter(range(s - 1, k))] + [None] * s  # per depth, members left to try
-    before = [0] * s  # per depth, the included set before the member chosen there
+    origin = [subset] + [0] * (s - 1)  # per depth, the candidates it was entered with
+    pool = origin[:]  # per depth, candidates still to try, lowest first
+    for _ in range(s - 1):
+        pool[0] &= pool[0] - 1  # the lowest s - 1 host vertices stay free to lie below the pick
     included = 0
-    size = 0
-    while size < s:
-        for j in candidates[size]:
-            v = members[j]
-            rest = adj[v] & included
-            if rest.bit_count() > d:
-                continue
-            while rest:
-                low = rest & -rest
-                if (adj[low.bit_length() - 1] & included).bit_count() >= d:
-                    break  # some included neighbor would exceed d
-                rest ^= low
-            else:
-                break  # v fits: leave the candidate loop with v chosen
-        else:  # no candidate left at this depth: take back the member before it
-            if size == 0:
+    depth = 0
+    while True:
+        p = pool[depth]
+        if not p:  # no candidate left at this depth: take back the member before it
+            if depth == 0:
                 return None
-            size -= 1
-            included = before[size]
+            depth -= 1
+            included &= included - 1  # the member chosen there is the lowest included
             continue
-        before[size] = included
-        included |= 1 << v
-        size += 1
-        candidates[size] = iter(range(s - size - 1, j))
-    return included
+        low = p & -p
+        pool[depth] = p ^ low
+        v = low.bit_length() - 1
+        nbrs = adj[v] & included
+        c = nbrs.bit_count()
+        if c > d:
+            continue
+        below = origin[depth] & (low - 1)
+        if c == d:
+            below &= ~adj[v]  # v is saturated
+        while nbrs:
+            u = nbrs & -nbrs
+            nbrs ^= u
+            u = u.bit_length() - 1
+            if (adj[u] & included).bit_count() == d - 1:
+                below &= ~adj[u]  # v saturates u
+        need = s - depth - 1  # members still needed below v
+        if below.bit_count() < need:
+            continue
+        included |= low
+        if not need:
+            return included
+        depth += 1
+        origin[depth] = below
+        for _ in range(need - 1):
+            below &= below - 1
+        pool[depth] = below
 
 
 def _subdim_scan(g: Graph, subset: int, s: int, start: int) -> tuple[int, int]:
@@ -203,9 +239,19 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
     best_inner = full
 
     def grown(m: int) -> int:
-        # add vertices in ascending order while the induced max degree stays <= best
+        # add vertices in ascending order while the induced max degree stays <= best;
+        # m's is already <= best, so v fits when it has at most best neighbors in m
+        # and none of them has best already
         for v in range(g.n):
-            if not m >> v & 1 and _induced_max_degree(adj, m | 1 << v) <= best:
+            nbrs = adj[v] & m
+            if m >> v & 1 or nbrs.bit_count() > best:
+                continue
+            while nbrs:
+                u = nbrs & -nbrs
+                if (adj[u.bit_length() - 1] & m).bit_count() == best:
+                    break
+                nbrs ^= u
+            else:
                 m |= 1 << v
         return m
 

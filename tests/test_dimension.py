@@ -25,6 +25,7 @@ from graphdim.core import (
 from graphdim.cli import cmd_compute
 from graphdim.coloring import chromatic_number
 from graphdim.dimension import (
+    SubdimCertificate,
     dim_exact,
     subdim,
     subdim_exists,
@@ -119,6 +120,33 @@ def test_subdim_exists_returns_smallest_mask():
         want = next((m for m in subsets_of_mask(host, s)
                      if max_degree_within(g, m) <= d), None)
         assert got == want
+
+
+@st.composite
+def _decision_cases(draw):
+    # sampled_from draws evenly, where integers() favors the ends of its range
+    n = draw(st.sampled_from(range(1, 11)))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n,
+                     draw(st.sampled_from([0.3, 0.6, 0.9])))
+    host = draw(st.sampled_from(range(1 << n)))
+    s = draw(st.sampled_from(range(host.bit_count() + 1)))
+    return g, host, s, draw(st.sampled_from(range(g.max_degree() + 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_decision_cases())
+def test_subdim_exists_is_the_first_fitting_subset_property(case):
+    # the candidate cuts and the size bound prune only branches without a
+    # complete selection: the answer is the first s-subset in numeric order
+    g, host, s, d = case
+    want = next((m for m in subsets_of_mask(host, s) if max_degree_within(g, m) <= d), None)
+    assert subdim_exists(g, host, s, d) == want
+
+
+def test_subdim_of_the_5_cube_is_theorem1s_ceil_sqrt_5():
+    q5 = hypercube_graph(5)
+    assert subdim(q5, q5.vertex_mask) == SubdimCertificate(3, 4161512, 32)
+    assert subdim_exists(q5, q5.vertex_mask, 17, 2) is None
 
 
 def test_searches_do_not_recurse_per_vertex():
