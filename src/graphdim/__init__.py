@@ -19,7 +19,6 @@ from .cayley import (
 from .coloring import (
     Coloring,
     DecompositionRound,
-    DecompositionTrace,
     chromatic_bound_from_dim,
     chromatic_number,
     chromatic_number_within,

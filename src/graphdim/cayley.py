@@ -125,6 +125,8 @@ def translate(grp: AbelianGroup, subset: int, a: int) -> int:
     """Image of a vertex set under addition of the group element a."""
     if subset >> grp.size:
         raise DomainError("vertex set mentions ids outside the group")
+    if not 0 <= a < grp.size:
+        raise DomainError(f"element id {a} out of range for group of size {grp.size}")
     out = 0
     for x in bits_of(subset):
         out |= 1 << grp.add(x, a)

@@ -73,14 +73,14 @@ def _chi_entry(g, k, col) -> dict:
     }
 
 
-def _decomposition_entry(g, col, trace) -> dict:
+def _decomposition_entry(g, col, rounds) -> dict:
     return {
         "palette_size": col.palette_size,
         "colors": list(col.colors),
         "rounds": [
             {"chunk": bits_of(r.chunk), "chunk_delta": r.chunk_delta,
              "palette_offset": r.palette_offset}
-            for r in trace.rounds
+            for r in rounds
         ],
         "replay": {"proper": is_proper(g, col.colors)},
     }
@@ -90,9 +90,14 @@ def _embedding_entry(report) -> dict:
     return {"ambient_dim": report.ambient_dim, "ok": report.ok}
 
 
+# each `compute --which` choice and the solver its cap refusal names
+_WHICH = {"subdim": "subdim", "dim": "dim_exact", "chi": "chromatic_number", "all": "dim_exact"}
+
+
 def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
-    what = {"subdim": "subdim", "chi": "chromatic_number"}.get(which, "dim_exact")
-    g, descriptor = _load_within_cap(spec, cap, what)
+    if which not in _WHICH:
+        raise DomainError(f"unknown --which {which!r}; choose one of {', '.join(_WHICH)}")
+    g, descriptor = _load_within_cap(spec, cap, _WHICH[which])
     report = dict(descriptor)
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
@@ -152,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute invariants of one graph")
     p_compute.add_argument("input", help="family spec (path:7, cycle:6, complete:5, "
                                          "kbip:3,4, cube:3, cayley:z:...;gens=...) or file path")
-    p_compute.add_argument("--which", choices=("subdim", "dim", "chi", "all"),
-                           default="all")
+    p_compute.add_argument("--which", choices=tuple(_WHICH), default="all")
     p_compute.add_argument("--cap", type=int, default=None,
                            help="solver cap override (default: GRAPHDIM_CAP or 16)")
 

@@ -11,7 +11,7 @@ subdim(remainder) + 1 <= dim(g) + 1 colors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Graph, _check_subset, bits_of, ceil_log2
 from .dimension import SubdimCertificate, subdim
@@ -21,7 +21,6 @@ from .limits import require_within_cap
 __all__ = [
     "Coloring",
     "DecompositionRound",
-    "DecompositionTrace",
     "is_proper",
     "greedy_coloring",
     "chromatic_number",
@@ -35,19 +34,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Coloring:
-    """Total proper coloring; color ids are gap-free 0..palette_size-1."""
+    """Total proper coloring; color ids are gap-free 0..palette_size-1, and
+    palette_size is derived from them."""
 
     colors: tuple[int, ...]
-    palette_size: int
+    palette_size: int = field(init=False)
 
     def __post_init__(self):
         used = set(self.colors)
-        expected = self.palette_size
-        if self.colors:
-            if used != set(range(expected)):
-                raise DomainError("palette has gaps or palette_size is wrong")
-        elif expected != 0:
-            raise DomainError("empty coloring must have palette_size 0")
+        if used != set(range(len(used))) or any(type(c) is not int for c in used):
+            raise DomainError("color ids must be exactly 0..k-1 for some k")
+        object.__setattr__(self, "palette_size", len(used))
 
 
 @dataclass(frozen=True)
@@ -55,11 +52,6 @@ class DecompositionRound:
     chunk: int           # vertex bitset peeled off in this round
     chunk_delta: int     # induced max degree of the chunk
     palette_offset: int  # first color id this round's palette starts at
-
-
-@dataclass(frozen=True)
-class DecompositionTrace:
-    rounds: tuple[DecompositionRound, ...]
 
 
 def is_proper(g: Graph, colors) -> bool:
@@ -78,8 +70,8 @@ def greedy_coloring(g: Graph, order) -> Coloring:
     if sorted(order) != list(range(g.n)):
         raise DomainError("order must be a permutation of the vertices")
     colors = [-1] * g.n
-    top = _first_fit(g.adj, order, g.vertex_mask, colors, 0)
-    return Coloring(tuple(colors), top)
+    _first_fit(g.adj, order, g.vertex_mask, colors, 0)
+    return Coloring(tuple(colors))
 
 
 def _first_fit(adj, order, within: int, colors: list[int], offset: int) -> int:
@@ -179,7 +171,7 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     require_within_cap(g.n, cap, "chromatic_number")
     k, classes = _chromatic(g.adj, _degree_order(g.adj, range(g.n)))
     colors = tuple(next(c for c, m in enumerate(classes) if m >> v & 1) for v in range(g.n))
-    return k, Coloring(colors, k)
+    return k, Coloring(colors)
 
 
 def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> int:
@@ -214,7 +206,8 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
     return subset
 
 
-def decomposition_coloring(g: Graph, cap: int | None = None) -> tuple[Coloring, DecompositionTrace]:
+def decomposition_coloring(g: Graph, cap: int | None = None
+                           ) -> tuple[Coloring, tuple[DecompositionRound, ...]]:
     """Color by repeatedly peeling the half-witness of the remaining set.
 
     Every round takes the majority-size subset of the remainder with the
@@ -231,7 +224,8 @@ def decomposition_coloring(g: Graph, cap: int | None = None) -> tuple[Coloring, 
     return _decompose(g, subdim(g, g.vertex_mask))
 
 
-def _decompose(g: Graph, full: SubdimCertificate) -> tuple[Coloring, DecompositionTrace]:
+def _decompose(g: Graph, full: SubdimCertificate
+               ) -> tuple[Coloring, tuple[DecompositionRound, ...]]:
     """decomposition_coloring for n >= 1, given the full vertex set's
     certificate, which is the first round's."""
     colors = [-1] * g.n
@@ -246,7 +240,7 @@ def _decompose(g: Graph, full: SubdimCertificate) -> tuple[Coloring, Decompositi
                                          palette_offset=offset))
         offset += used
         remaining ^= chunk
-    return Coloring(tuple(colors), offset), DecompositionTrace(tuple(rounds))
+    return Coloring(tuple(colors)), tuple(rounds)
 
 
 def decomposition_round_bound(n: int) -> int:

@@ -15,13 +15,6 @@ return the same value and the same witness: subsets are explored in
 increasing numeric bitset order, so the reported witness is always the
 numerically smallest optimal subset and certificates compare bit-for-bit
 across routes and runs.
-
-The branch and bound keeps one candidate bitset per depth.  Including a
-member cuts from the next depth's candidates every neighbor of a member that
-now has the full d included neighbors, and a depth is left as soon as fewer
-candidates remain than members are still needed.  A cut vertex could never
-have joined that branch, so the cuts remove only selections that fail, and
-the search meets the surviving ones in the same numeric order.
 """
 
 from __future__ import annotations
@@ -232,7 +225,8 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
 
 
 def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
-    """dim_exact's host scan for n >= 1, given the full vertex set's certificate."""
+    """dim_exact's host scan for n >= 1, given the full vertex set's
+    certificate; dim_exact's docstring gives the reason for each skip."""
     adj = g.adj
     best = full.value
     best_host = g.vertex_mask
@@ -255,20 +249,17 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
                 m |= 1 << v
         return m
 
-    # vertex sets with induced max degree <= best: the full set's witness and
-    # each scanned host's witness, grown.  A scanned host meets every earlier
-    # set in fewer than s vertices, so its s-vertex witness grows to a new set.
+    # A scanned host meets every earlier settled set in fewer than s
+    # vertices, so its s-vertex witness grows to a new set.
     settled = [grown(full.witness_min)]
-    # An odd proper host S and u outside it: every majority of S+u holds a
-    # majority of S, so S+u, scanned earlier, already bounds subdim(S).
-    for size in range((g.n - 1) & ~1, 0, -2):
+    for size in range((g.n - 1) & ~1, 0, -2):  # even proper hosts only
         if size <= 2 * best:
-            break  # an s-set has max degree <= s - 1 = size/2 <= best
+            break
         s = size // 2 + 1
         for host in subsets_of_size(g.n, size):
             for m in settled:
                 if (m & host).bit_count() >= s:
-                    break  # s members of m in the host: subdim(host) <= best
+                    break
             else:
                 value, witness = _subdim_scan(g, host, s, best)
                 if value > best:

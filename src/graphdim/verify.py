@@ -195,14 +195,14 @@ def suite_theorem2(cap: int | None = None) -> dict:
     instances = []
     for g, g6, chi, full, dim_value in records:
         bound = chromatic_bound_from_dim(dim_value, g.n)
-        col, trace = _decompose(g, full)
+        col, rounds = _decompose(g, full)
         ok = (chi <= bound
               and is_proper(g, col.colors)
               and col.palette_size <= bound
-              and len(trace.rounds) <= decomposition_round_bound(g.n))
+              and len(rounds) <= decomposition_round_bound(g.n))
         instances.append({"case": g6, "chi": chi, "dim": dim_value,
                           "bound": bound, "palette": col.palette_size,
-                          "rounds": len(trace.rounds), "ok": ok})
+                          "rounds": len(rounds), "ok": ok})
     return _suite_report("theorem2", {"max_n": max_n}, instances)
 
 

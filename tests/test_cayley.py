@@ -116,6 +116,14 @@ def test_translate_shift():
     assert translate(grp, mask_of([0, 1]), 2) == mask_of([2, 3])
 
 
+def test_translate_refuses_ids_outside_the_group():
+    grp = AbelianGroup((2, 2))
+    for a in (7, 4, -1):
+        with pytest.raises(DomainError, match="out of range"):
+            translate(grp, 1, a)
+    assert translate(grp, 1, 3) == 1 << 3
+
+
 def test_translate_inverse_undoes():
     rng = random.Random(50)
     for _ in range(50):

@@ -106,6 +106,26 @@ def test_bad_family_parameter_exit_2():
     assert proc.returncode == 2
 
 
+def test_compute_refuses_an_unknown_which_before_loading():
+    with pytest.raises(DomainError, match="bogus"):
+        cmd_compute("cycle:5", "bogus")
+    # a spec that cannot be loaded: the choice is refused first
+    with pytest.raises(DomainError, match="bogus"):
+        cmd_compute("no-such-file", "bogus")
+    parser = cli.build_parser()
+    for which in ("subdim", "dim", "chi", "all"):
+        assert parser.parse_args(["compute", "cycle:5", "--which", which]).which == which
+    with pytest.raises(SystemExit):
+        parser.parse_args(["compute", "cycle:5", "--which", "bogus"])
+
+
+def test_malformed_cayley_spec_exit_2():
+    proc = run_cli("compute", "cayley:z:2,2;gens=1", "--which", "dim")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "single cyclic factor" in proc.stderr
+
+
 def test_cap_exit_3():
     proc = run_cli("compute", "complete:20", "--which", "dim")
     assert proc.returncode == 3

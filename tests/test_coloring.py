@@ -40,11 +40,20 @@ from helpers import random_graph
 
 def test_coloring_rejects_gaps():
     with pytest.raises(DomainError):
-        Coloring((0, 2), 3)
+        Coloring((0, 2))
     with pytest.raises(DomainError):
-        Coloring((0, 1), 3)
+        Coloring((1, 2))
     with pytest.raises(DomainError):
-        Coloring((), 1)
+        Coloring((0, -1))
+    with pytest.raises(DomainError):
+        Coloring(("a",))
+    with pytest.raises(DomainError):
+        Coloring((0.0, 1))  # equal to the ids 0 and 1, but no list index
+
+
+def test_coloring_palette_size_counts_the_colors():
+    assert Coloring(()).palette_size == 0
+    assert Coloring((1, 0, 1)).palette_size == 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +286,24 @@ def test_critical_always_passes_min_degree_check():
 
 def test_decomposition_k4():
     g = complete_graph(4)
-    col, trace = decomposition_coloring(g)
+    col, rounds = decomposition_coloring(g)
     assert is_proper(g, col.colors)
     assert col.palette_size <= (2 + 1) * 2  # dim of K_4 is 2
 
 
 def test_decomposition_path8():
     g = path_graph(8)
-    col, trace = decomposition_coloring(g)
+    col, rounds = decomposition_coloring(g)
     assert is_proper(g, col.colors)
     assert col.palette_size <= 6
-    assert len(trace.rounds) <= 3
+    assert len(rounds) <= 3
 
 
 def test_decomposition_single_vertex():
     g = path_graph(1)
-    col, trace = decomposition_coloring(g)
+    col, rounds = decomposition_coloring(g)
     assert col.palette_size == 1
-    assert len(trace.rounds) == 1
+    assert len(rounds) == 1
 
 
 def test_decomposition_rejects_empty():
@@ -307,14 +316,14 @@ def test_decomposition_trace_invariants():
     for _ in range(60):
         n = rng.randint(1, 9)
         g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
-        col, trace = decomposition_coloring(g)
+        col, rounds = decomposition_coloring(g)
         dim_value = dim_exact(g).value
         assert is_proper(g, col.colors)
-        assert len(trace.rounds) <= decomposition_round_bound(n)
+        assert len(rounds) <= decomposition_round_bound(n)
         assert col.palette_size <= chromatic_bound_from_dim(dim_value, n)
         remaining = g.vertex_mask
         offsets = []
-        for r in trace.rounds:
+        for r in rounds:
             assert r.chunk & ~remaining == 0
             assert r.chunk.bit_count() == remaining.bit_count() // 2 + 1
             assert r.chunk_delta == max_degree_within(g, r.chunk)
@@ -325,7 +334,7 @@ def test_decomposition_trace_invariants():
         assert offsets == sorted(offsets)
         # colors of a chunk stay in [offset, next offset)
         bounds = offsets[1:] + [col.palette_size]
-        for r, hi in zip(trace.rounds, bounds):
+        for r, hi in zip(rounds, bounds):
             for v in bits_of(r.chunk):
                 assert r.palette_offset <= col.colors[v] < hi
 

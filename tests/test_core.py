@@ -27,7 +27,7 @@ from graphdim.core import (
 )
 from graphdim.dimension import subdim, subdim_naive
 from graphdim.errors import DomainError, ParseError
-from graphdim.inputs import load_input
+from graphdim.inputs import load_input, parse_cayley_spec
 
 from helpers import random_graph
 
@@ -226,10 +226,12 @@ _PROPERTY = settings(derandomize=True, database=None)
 
 
 @st.composite
-def _graphs(draw, max_n=70):
-    n = draw(st.integers(0, max_n))
+def _graphs(draw, max_n=70, min_n=0):
+    # n from the seeded generator: integers() draws the ends of its range far more often
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(min_n, max_n)
     p = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
-    return random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, p)
+    return random_graph(rng, n, p)
 
 
 @_PROPERTY
@@ -282,8 +284,10 @@ def test_edge_list_parser_raises_only_its_errors(text):
 
 @st.composite
 def _graph_and_host(draw):
-    g = draw(_graphs(10).filter(lambda g: g.n > 0))
-    return g, draw(st.integers(1, g.vertex_mask))  # a nonempty host
+    g = draw(_graphs(10, min_n=1))
+    # a nonempty host: each vertex in or out, not one integer mask skewed to its ends
+    host = draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n).filter(any))
+    return g, mask_of(v for v, member in enumerate(host) if member)
 
 
 @_PROPERTY
@@ -321,6 +325,23 @@ def test_family_dispatch():
         load_input("petersen:1")
     with pytest.raises(ParseError):
         load_input("path:1,2")
+
+
+@pytest.mark.parametrize("body,message", [
+    ("z:4", "lacks ';gens='"),
+    ("q:4;gens=1", "must start with 'z:'"),
+    ("z:a,b;gens=1", "bad group orders"),
+    ("z:;gens=1", "at least one cyclic order"),
+    ("z:2,2;gens=(1,0),(0,1", "bad generator list"),
+    ("z:2,2;gens=(1,0,0)", "has 3 coordinates, group has 2"),
+    ("z:2,2;gens=1", "need a single cyclic factor"),
+    ("z:4;gens=", "at least one generator"),
+])
+def test_cayley_spec_parse_errors(body, message):
+    with pytest.raises(ParseError, match=message):
+        parse_cayley_spec(body)
+    with pytest.raises(ParseError, match=message):
+        load_input("cayley:" + body)
 
 
 @pytest.mark.parametrize("name,params", [

@@ -41,7 +41,7 @@ def _squared_length(p, q):
 
 def test_two_point_embedding_coordinates():
     g = complete_graph(2)
-    emb = unit_distance_embed(g, Coloring((0, 1), 2))
+    emb = unit_distance_embed(g, Coloring((0, 1)))
     assert emb.ambient_dim == 4
     assert emb.points[0] == (-HALF, HALF, 0, 0)
     assert emb.points[1] == (0, 0, -HALF, HALF)
@@ -51,7 +51,7 @@ def test_two_point_embedding_coordinates():
 
 def test_single_class_circle_is_distinct():
     g = Graph(8, (0,) * 8)
-    emb = unit_distance_embed(g, Coloring((0,) * 8, 1))
+    emb = unit_distance_embed(g, Coloring((0,) * 8))
     assert emb.ambient_dim == 2
     report = verify_embedding(g, emb)
     assert report.distinct_ok
@@ -72,9 +72,9 @@ def test_cycle5_with_three_colors():
 def test_embed_requires_proper_coloring():
     g = complete_graph(2)
     with pytest.raises(DomainError):
-        unit_distance_embed(g, Coloring((0, 0), 1))
+        unit_distance_embed(g, Coloring((0, 0)))
     with pytest.raises(DomainError):
-        unit_distance_embed(g, Coloring((0,), 1))
+        unit_distance_embed(g, Coloring((0,)))
 
 
 def test_verifier_flags_bad_edge_length():
@@ -103,7 +103,7 @@ def test_verifier_flags_coincident_points():
 
 def test_verifier_single_vertex():
     g = path_graph(1)
-    emb = unit_distance_embed(g, Coloring((0,), 1))
+    emb = unit_distance_embed(g, Coloring((0,)))
     report = verify_embedding(g, emb)
     assert report.edges_ok and report.distinct_ok
 
@@ -129,7 +129,7 @@ def test_edges_exactly_unit_squared_for_every_colorer():
 def test_separation_in_a_thousand_point_class():
     n = 1000
     g = Graph(n, (0,) * n)
-    emb = unit_distance_embed(g, Coloring((0,) * n, 1))
+    emb = unit_distance_embed(g, Coloring((0,) * n))
     report = verify_embedding(g, emb)
     assert report.distinct_ok
     assert len(set(emb.points)) == n
