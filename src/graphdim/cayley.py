@@ -15,6 +15,7 @@ argument), which is why dim == subdim here.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import Graph, bits_of
@@ -31,6 +32,13 @@ __all__ = [
 ]
 
 
+def _integer(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_k}."""
@@ -38,7 +46,7 @@ class AbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
+        object.__setattr__(self, "orders", tuple(_integer(n, "cyclic order") for n in self.orders))
         if not self.orders:
             raise DomainError("group needs at least one cyclic factor")
         if any(n < 1 for n in self.orders):
@@ -56,7 +64,7 @@ class AbelianGroup:
         eid = 0
         stride = 1
         for a, n in zip(element, self.orders):
-            eid += (a % n) * stride
+            eid += (_integer(a, "coordinate") % n) * stride
             stride *= n
         return eid
 
@@ -97,7 +105,7 @@ class GeneratorSet:
     elements: frozenset[int]
 
     def __init__(self, elements):
-        object.__setattr__(self, "elements", frozenset(int(e) for e in elements))
+        object.__setattr__(self, "elements", frozenset(_integer(e, "generator") for e in elements))
 
 
 def _check_generators(grp: AbelianGroup, gens: GeneratorSet) -> None:

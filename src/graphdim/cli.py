@@ -23,7 +23,7 @@ from .core import bits_of, encode_graph6, max_degree_within
 from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
-from .inputs import _load_within_cap
+from .inputs import load_input
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -90,14 +90,13 @@ def _embedding_entry(report) -> dict:
     return {"ambient_dim": report.ambient_dim, "ok": report.ok}
 
 
-# each `compute --which` choice and the solver its cap refusal names
-_WHICH = {"subdim": "subdim", "dim": "dim_exact", "chi": "chromatic_number", "all": "dim_exact"}
+_WHICH = ("subdim", "dim", "chi", "all")  # the `compute --which` choices
 
 
 def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     if which not in _WHICH:
         raise DomainError(f"unknown --which {which!r}; choose one of {', '.join(_WHICH)}")
-    g, descriptor = _load_within_cap(spec, cap, _WHICH[which])
+    g, descriptor = load_input(spec, cap)
     report = dict(descriptor)
     report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
     report["which"] = which
@@ -117,7 +116,7 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     if which == "all":
         results["bounds"] = {"lower": 0 if full is None else full.value,
                              "upper": g.max_degree()}
-        if full is not None:  # within the cap checked for dim
+        if full is not None:  # within the cap load_input checked
             results["decomposition"] = _decomposition_entry(g, *_decompose(g, full))
             emb = unit_distance_embed(g, col)
             results["embedding"] = _embedding_entry(verify_embedding(g, emb))
@@ -131,7 +130,7 @@ def cmd_verify(suite: str, cap: int | None = None) -> tuple[dict, int]:
 
 
 def cmd_embed(spec: str, out_path: str, cap: int | None = None) -> dict:
-    g, descriptor = _load_within_cap(spec, cap, "chromatic_number")
+    g, descriptor = load_input(spec, cap)
     k, col = chromatic_number(g, cap=cap)
     emb = unit_distance_embed(g, col)
     report_obj = verify_embedding(g, emb)
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute invariants of one graph")
     p_compute.add_argument("input", help="family spec (path:7, cycle:6, complete:5, "
                                          "kbip:3,4, cube:3, cayley:z:...;gens=...) or file path")
-    p_compute.add_argument("--which", choices=tuple(_WHICH), default="all")
+    p_compute.add_argument("--which", choices=_WHICH, default="all")
     p_compute.add_argument("--cap", type=int, default=None,
                            help="solver cap override (default: GRAPHDIM_CAP or 16)")
 

@@ -41,6 +41,7 @@ class Coloring:
     palette_size: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "colors", tuple(self.colors))
         used = set(self.colors)
         if used != set(range(len(used))) or any(type(c) is not int for c in used):
             raise DomainError("color ids must be exactly 0..k-1 for some k")

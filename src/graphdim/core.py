@@ -39,6 +39,8 @@ __all__ = [
 
 def bits_of(mask: int) -> list[int]:
     """Vertex ids in a bitset, ascending."""
+    if mask < 0:
+        raise DomainError(f"a vertex set is a nonnegative bitset, got {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -74,6 +76,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "adj", tuple(self.adj))
         if self.n < 0:
             raise DomainError(f"vertex count must be >= 0, got {self.n}")
         if len(self.adj) != self.n:

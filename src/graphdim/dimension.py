@@ -92,8 +92,8 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     search is still a refutation.
 
     Uncapped by design, like subdim: the capped entry points (dim_exact,
-    decomposition_coloring, dim_via_transitivity, the CLI) check the cap
-    before they call either, and a direct caller owns that check.
+    decomposition_coloring, dim_via_transitivity; load_input for the CLI)
+    check the cap before they call either, and a direct caller owns that check.
     """
     _check_subset(g, subset)
     k = subset.bit_count()
@@ -178,6 +178,7 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
 
     Kept deliberately free of pruning so it can vouch for the search path.
     """
+    _check_subset(g, subset)
     if subset == 0:
         raise DomainError("sub-dimension of an empty host is undefined")
     m = subset.bit_count()

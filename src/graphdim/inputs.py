@@ -15,18 +15,18 @@ literally and must already be closed under negation.
 
 Files ending in .g6 are read as graph6; otherwise a file whose first
 non-blank line is a lone integer is read as an edge list, and anything
-else as graph6.  A file's vertex count is read from its header (that
-integer, or the graph6 size bytes) before the rest is read, so the cap
-is checked before any work or memory that grows with the file; a count
-line that does not end within its first 64 bytes is refused (CapExceeded).
-The file is read once, through one handle, so pipes and FIFOs work too.
+else as graph6.  ``load_input`` checks the cap before any work or memory
+that grows with the input: a family spec by its parameters (cube:N by its
+exponent), a file by the vertex count in its header (that integer, or the
+graph6 size bytes); a count line that does not end within its first 64
+bytes is refused (CapExceeded).  A file is read once, through one handle,
+so pipes and FIFOs work too.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Callable
 
 from .cayley import AbelianGroup, GeneratorSet, cayley_graph
 from .core import (
@@ -97,30 +97,16 @@ _FAMILIES = {
 }
 
 
-def _family_params(spec: str) -> tuple[str, tuple] | None:
-    """Token and parsed parameters of a family spec; None for anything else."""
-    token, sep, body = spec.partition(":")
-    if not sep or token not in _FAMILIES:
-        return None
-    arity = _FAMILIES[token][0]
-    if arity is None:
-        return token, parse_cayley_spec(body)
-    params = _parse_int_list(body, f"{token} parameters")
-    if len(params) != arity:
-        raise ParseError(f"family {token!r} takes {arity} parameter(s), got {len(params)}")
-    return token, tuple(params)
-
-
 # bytes of a file's first non-blank line read before the cap check: more than
 # any vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
 _HEAD = 64
 
 
-def _read_file(path: str, check: Callable[[int], None]) -> Graph:
+def _read_file(path: str, cap: int | None) -> Graph:
     """Read and parse a graph file through one handle.  The vertex count its
-    header declares goes to `check` once the first non-blank line is read
-    (at most _HEAD bytes past its start), so the caller can refuse the file
-    before any work or memory that grows with the file."""
+    header declares is checked against the cap once the first non-blank line
+    is read (at most _HEAD bytes past its start), before any work or memory
+    that grows with the file."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
@@ -144,7 +130,7 @@ def _read_file(path: str, check: Callable[[int], None]) -> Graph:
         else:
             n = _g6_header(first.removeprefix(">>graph6<<")[:4].encode("ascii"))[0]
             parse = parse_graph6
-        check(n)
+        require_within_cap(n, cap, "load_input")
         try:
             text = (raw + fh.read()).decode("ascii")
         except UnicodeDecodeError:
@@ -152,28 +138,24 @@ def _read_file(path: str, check: Callable[[int], None]) -> Graph:
     return parse(text)
 
 
-def load_input(spec: str) -> tuple[Graph, dict]:
-    """Resolve a family spec or file path into a graph plus a report descriptor."""
-    family = _family_params(spec)
-    if family is not None:
-        token, params = family
-        return _FAMILIES[token][1](*params), {"input": spec, "kind": "family"}
-    return _read_file(spec, lambda n: None), {"input": spec, "kind": "file"}
-
-
-def _load_within_cap(spec: str, cap: int | None, what: str) -> tuple[Graph, dict]:
-    """load_input that checks the cap before any work on the graph: for a
-    family spec from its parameters, for a file from its header, before
-    anything is parsed or built."""
-    family = _family_params(spec)
-    if family is None:
-        g = _read_file(spec, lambda n: require_within_cap(n, cap, what))
-        return g, {"input": spec, "kind": "file"}
-    token, params = family
+def load_input(spec: str, cap: int | None = None) -> tuple[Graph, dict]:
+    """Resolve a family spec or file path into a graph plus a report descriptor,
+    refusing one beyond the cap (explicit, else GRAPHDIM_CAP, else 16) before
+    anything is built or parsed."""
+    token, sep, body = spec.partition(":")
+    if not sep or token not in _FAMILIES:
+        return _read_file(spec, cap), {"input": spec, "kind": "file"}
+    arity, build, order = _FAMILIES[token]
+    if arity is None:
+        params = parse_cayley_spec(body)
+    else:
+        params = _parse_int_list(body, f"{token} parameters")
+        if len(params) != arity:
+            raise ParseError(f"family {token!r} takes {arity} parameter(s), got {len(params)}")
     limit = resolve_cap(cap)
-    if token != "cube":
-        require_within_cap(_FAMILIES[token][2](*params), limit, what)
-    elif params[0] >= max(limit, 1).bit_length():  # 2^N > limit, for N >= 1
-        raise CapExceeded(f"{what} refuses n=2^{params[0]} > cap={limit}; "
+    if order is not None:
+        require_within_cap(order(*params), limit, "load_input")
+    elif params[0] >= max(limit, 1).bit_length():  # cube: 2^N > limit, for N >= 1
+        raise CapExceeded(f"load_input refuses n=2^{params[0]} > cap={limit}; "
                           f"raise {CAP_ENV_VAR} or pass cap=")
-    return _FAMILIES[token][1](*params), {"input": spec, "kind": "family"}
+    return build(*params), {"input": spec, "kind": "family"}

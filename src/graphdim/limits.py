@@ -1,10 +1,11 @@
 """Solver size caps.
 
-Exact search is exponential, so every solver entry point refuses graphs
-larger than a cap instead of silently running forever.  The default is 16
-vertices; the GRAPHDIM_CAP environment variable overrides it globally, and
-every capped function also takes an explicit ``cap=`` argument.  The cap is
-the only size limit.
+Exact search is exponential, so every solver entry point and the loader
+``inputs.load_input`` refuse graphs larger than a cap; ``subdim`` and
+``subdim_exists`` (and their oracle ``subdim_naive``) take none by design.
+The default is 16 vertices; the GRAPHDIM_CAP environment variable overrides
+it globally, and every capped function also takes an explicit ``cap=``
+argument.  The cap is the only size limit.
 """
 
 import os

@@ -7,9 +7,9 @@ graph on up to six vertices; redundancy across isomorphic graphs is
 deliberate, since it needs no canonization and each instance stays
 independently replayable.  The sweep suites share one cached sweep that
 checks its size first, then enumerates each graph and computes its
-invariants once.  Every capped solver call takes its bound from the graph
-it checks, so GRAPHDIM_CAP never changes a report.  All randomness is
-seeded, so repeated runs produce identical reports.
+invariants once.  Every capped call passes an explicit cap (the checked
+graph's size, or DEFAULT_CAP for loading the family specs), so GRAPHDIM_CAP
+never changes a report.  All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
 from .inputs import load_input, parse_cayley_spec
+from .limits import DEFAULT_CAP
 
 __all__ = ["SUITE_NAMES", "enumerate_labeled_graphs", "run_suite", "run_all"]
 
@@ -132,7 +133,7 @@ def suite_examples(cap: int | None = None) -> dict:
                           "want": want, "ok": got == want})
 
     for spec, want_subdim, want_dim in _FAMILY_CASES:
-        g, _ = load_input(spec)
+        g, _ = load_input(spec, cap=DEFAULT_CAP)
         full = subdim(g, g.vertex_mask)
         if want_subdim is not None:
             check(spec, "subdim", full.value, want_subdim)
@@ -306,11 +307,11 @@ def suite_oracle(cap: int | None = None) -> dict:
                           "ok": fast == slow})
 
     for spec, _, _ in _FAMILY_CASES:
-        check(spec, load_input(spec)[0])
+        check(spec, load_input(spec, cap=DEFAULT_CAP)[0])
     for n in (1, 2, 3, 4):
         check(f"cube:{n}", hypercube_graph(n))
     for case in _prop1_cases():
-        check(case, load_input(case)[0])
+        check(case, load_input(case, cap=DEFAULT_CAP)[0])
     for trial in range(_ORACLE_TRIALS):
         n = rng.randint(1, 10)
         p = rng.choice((0.2, 0.5, 0.8))

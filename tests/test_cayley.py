@@ -62,6 +62,33 @@ def test_encode_reduces_residues():
     assert grp.encode((-1,)) == 4
 
 
+def test_constructors_take_integers_exactly():
+    assert AbelianGroup([3, True]).orders == (3, 1)
+    assert GeneratorSet(range(1, 3)).elements == frozenset({1, 2})
+    for orders in ((2.5,), ("3",), (4, 2.0)):
+        with pytest.raises(DomainError, match="cyclic order must be an integer"):
+            AbelianGroup(orders)
+    with pytest.raises(DomainError, match="generator must be an integer"):
+        GeneratorSet([1.7])
+    with pytest.raises(DomainError, match="coordinate must be an integer"):
+        AbelianGroup((3,)).encode((1.5,))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: AbelianGroup((3, 4)).encode((1,)), "1 coordinates, wanted 2",
+                 id="encode-arity"),
+    pytest.param(lambda: AbelianGroup((3, 4)).decode(12), "out of range", id="decode-high"),
+    pytest.param(lambda: AbelianGroup((3, 4)).decode(-1), "out of range", id="decode-negative"),
+    pytest.param(lambda: translate(AbelianGroup((2, 2)), 1 << 4, 1), "outside the group",
+                 id="translate-outside"),
+    pytest.param(lambda: translate(AbelianGroup((2, 2)), -1, 1), "outside the group",
+                 id="translate-negative"),
+])
+def test_group_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # cayley graphs
 # ---------------------------------------------------------------------------

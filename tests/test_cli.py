@@ -151,6 +151,7 @@ def test_oversize_family_specs_exit_3():
         proc = run_cli("compute", spec)
         assert proc.returncode == 3, proc.stderr
         assert "cap exceeded" in proc.stderr and "Traceback" not in proc.stderr
+        assert "load_input refuses" in proc.stderr
 
 
 def test_oversize_family_specs_refused_unbuilt(monkeypatch, tmp_path):
@@ -193,9 +194,33 @@ def test_oversize_files_refused_from_their_header(monkeypatch, tmp_path):
     assert not out.exists()
 
 
+def test_load_input_refuses_oversize_inputs_unbuilt_and_unparsed(monkeypatch, tmp_path):
+    def unusable(*args):
+        raise AssertionError("an oversize input was built or parsed")
+    for token, (arity, _, order) in list(inputs._FAMILIES.items()):
+        monkeypatch.setitem(inputs._FAMILIES, token, (arity, unusable, order))
+    monkeypatch.setattr(inputs, "parse_edge_list", unusable)
+    monkeypatch.setattr(inputs, "parse_graph6", unusable)
+    monkeypatch.delenv("GRAPHDIM_CAP", raising=False)
+    for spec in OVERSIZE_SPECS + tuple(_graph_files(tmp_path, 17)):
+        with pytest.raises(CapExceeded, match="load_input refuses n=.* > cap=16;"):
+            inputs.load_input(spec)
+
+
+def test_load_input_resolves_the_cap_like_every_entry_point(monkeypatch):
+    monkeypatch.delenv("GRAPHDIM_CAP", raising=False)
+    assert inputs.load_input("complete:16")[0].n == 16
+    with pytest.raises(CapExceeded, match="refuses n=17 > cap=16;"):
+        inputs.load_input("complete:17")
+    monkeypatch.setenv("GRAPHDIM_CAP", "17")
+    assert inputs.load_input("complete:17")[0].n == 17
+    with pytest.raises(CapExceeded, match="refuses n=5 > cap=4;"):
+        inputs.load_input("cycle:5", cap=4)  # an explicit cap wins
+
+
 def test_header_read_files_load_within_the_cap(tmp_path):
     for path in _graph_files(tmp_path, 17):
-        g, descriptor = inputs._load_within_cap(path, 17, "dim_exact")
+        g, descriptor = inputs.load_input(path, 17)
         assert g.n == 17 and descriptor == {"input": path, "kind": "file"}
 
 
@@ -237,7 +262,7 @@ def test_vertex_count_line_cut_by_the_head_exits_3(tmp_path):
         assert "does not end within 64 bytes" in proc.stderr
         assert time.perf_counter() - start < 1
     path.write_text(" \n" + "0" * 62 + "5\n0 1\n")  # 63 digits: read whole
-    g, _ = inputs._load_within_cap(str(path), None, "dim_exact")
+    g, _ = inputs.load_input(str(path), None)
     assert g.n == 5 and g.adj[0] == 2
 
 
@@ -249,7 +274,7 @@ def test_graph_files_read_once_from_a_pipe():
         try:
             os.write(w, text.encode())  # under 64 KB: fits the pipe without a reader
             os.close(w)
-            g, descriptor = inputs._load_within_cap(f"/dev/fd/{r}", None, "dim_exact")
+            g, descriptor = inputs.load_input(f"/dev/fd/{r}", None)
         finally:
             os.close(r)
         assert descriptor["kind"] == "file"
@@ -299,13 +324,13 @@ def test_oversize_file_refused_without_reading_its_body(tmp_path):
 
 def test_cube_spec_checked_by_its_exponent():
     for d, cap in ((1, 2), (4, 16), (5, 32), (5, 63)):
-        g, _ = inputs._load_within_cap(f"cube:{d}", cap, "dim_exact")
+        g, _ = inputs.load_input(f"cube:{d}", cap)
         assert g.n == 1 << d
     for d, cap in ((1, 1), (4, 15), (5, 31), (5, 0), (5, -1)):
         with pytest.raises(CapExceeded, match=f"refuses n=2\\^{d} > cap={cap};"):
-            inputs._load_within_cap(f"cube:{d}", cap, "dim_exact")
+            inputs.load_input(f"cube:{d}", cap)
     with pytest.raises(DomainError):
-        inputs._load_within_cap("cube:0", 0, "dim_exact")
+        inputs.load_input("cube:0", 0)
 
 
 def test_cap_env_override():

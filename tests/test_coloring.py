@@ -56,6 +56,34 @@ def test_coloring_palette_size_counts_the_colors():
     assert Coloring((1, 0, 1)).palette_size == 2
 
 
+def test_coloring_keeps_a_tuple_of_colors():
+    col = Coloring([0, 1])
+    assert type(col.colors) is tuple
+    assert col == Coloring((0, 1)) and hash(col) == hash(Coloring((0, 1)))
+    colors = (1, 0)
+    assert Coloring(colors).colors is colors  # a tuple is kept, not copied
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: chromatic_number_within(cycle_graph(5), 1 << 5),
+                 "outside the graph", id="chromatic_number_within-outside"),
+    pytest.param(lambda: chromatic_number_within(cycle_graph(5), -1),
+                 "outside the graph", id="chromatic_number_within-negative"),
+    pytest.param(lambda: critical_subgraph(Graph(0, ())), "empty graph",
+                 id="critical_subgraph-empty"),
+])
+def test_coloring_refusals(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_is_proper_is_false_for_a_coloring_of_the_wrong_length():
+    g = path_graph(3)
+    assert is_proper(g, (0, 1, 0))
+    assert not is_proper(g, (0, 1))
+    assert not is_proper(g, (0, 1, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------

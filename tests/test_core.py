@@ -56,6 +56,16 @@ def test_graph_rejects_out_of_range():
         Graph.from_edges(2, [(0, 2)])
 
 
+def test_graph_keeps_a_tuple_of_rows():
+    g = Graph(2, [2, 1])
+    assert type(g.adj) is tuple
+    assert g == Graph(2, (2, 1)) and hash(g) == hash(Graph(2, (2, 1)))
+    with pytest.raises(TypeError):
+        g.adj[0] = 3  # would add a self-loop to a validated graph
+    rows = (2, 1)
+    assert Graph(2, rows).adj is rows  # a tuple is kept, not copied
+
+
 def test_empty_graph():
     g = Graph(0, ())
     assert g.vertex_mask == 0
@@ -418,6 +428,39 @@ def test_relabel_is_isomorphism():
         h = relabel(g, perm)
         assert h.edge_count() == g.edge_count()
         assert sorted(h.degree(v) for v in range(n)) == sorted(g.degree(v) for v in range(n))
+
+
+_C5 = cycle_graph(5)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: max_degree_within(_C5, 1 << 5), DomainError, "outside the graph",
+                 id="max_degree_within-outside"),
+    pytest.param(lambda: induced_subgraph(_C5, 1 << 7), DomainError, "outside the graph",
+                 id="induced_subgraph-outside"),
+    pytest.param(lambda: Graph(-1, ()), DomainError, "vertex count must be >= 0",
+                 id="graph-negative-n"),
+    pytest.param(lambda: Graph(3, (0, 0)), DomainError, "2 rows for n=3",
+                 id="graph-row-count"),
+    pytest.param(lambda: relabel(_C5, [0, 1, 2, 3, 3]), DomainError, "permutation",
+                 id="relabel-non-permutation"),
+    pytest.param(lambda: parse_edge_list("-1\n"), ParseError, "vertex count must be >= 0",
+                 id="edge-list-negative-count"),
+    pytest.param(lambda: parse_edge_list("3\n0 x\n"), ParseError, "non-integer endpoint",
+                 id="edge-list-non-integer-endpoint"),
+    pytest.param(lambda: parse_graph6("~??"), ParseError, "truncated graph6 size header",
+                 id="graph6-truncated-header"),
+    pytest.param(lambda: encode_graph6(Graph(258048, (0,) * 258048)), DomainError,
+                 "n <= 258047", id="graph6-encode-too-large"),
+    pytest.param(lambda: next(subsets_of_mask(0b101, 3)), DomainError,
+                 "size 3 out of range for a 2-element set", id="subsets_of_mask-too-large"),
+    pytest.param(lambda: bits_of(-1), DomainError, "nonnegative", id="bits_of-negative"),
+    pytest.param(lambda: next(subsets_of_mask(-1, 1)), DomainError, "nonnegative",
+                 id="subsets_of_mask-negative"),
+])
+def test_core_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_ceil_log2():

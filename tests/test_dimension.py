@@ -72,6 +72,15 @@ def test_subdim_empty_host_rejected():
         subdim(g, 0)
 
 
+@pytest.mark.parametrize("host", [1 << 7, -1, cycle_graph(5).vertex_mask | 1 << 5])
+@pytest.mark.parametrize("solve", [
+    subdim, subdim_naive, lambda g, host: subdim_exists(g, host, 1, 0)],
+    ids=["subdim", "subdim_naive", "subdim_exists"])
+def test_subdim_refuses_a_host_outside_the_graph(solve, host):
+    with pytest.raises(DomainError, match="outside the graph"):
+        solve(cycle_graph(5), host)
+
+
 # ---------------------------------------------------------------------------
 # the decision search
 # ---------------------------------------------------------------------------

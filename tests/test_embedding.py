@@ -211,6 +211,18 @@ def test_bound_report_rejects_empty():
         _bound_report(Graph(0, ()))
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda emb: verify_embedding(path_graph(2), emb),
+                 "embedding covers 3 vertices, graph has 2", id="verify_embedding"),
+    pytest.param(lambda emb: format_embedding(emb, Coloring((0, 1))),
+                 "different vertex counts", id="format_embedding"),
+])
+def test_embedding_refuses_mismatched_lengths(call, message):
+    emb = unit_distance_embed(path_graph(3), Coloring((0, 1, 0)))
+    with pytest.raises(DomainError, match=message):
+        call(emb)
+
+
 def test_format_embedding_layout():
     g = hypercube_graph(2)
     k, col = chromatic_number(g)

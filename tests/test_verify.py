@@ -36,6 +36,11 @@ def test_enumeration_cap():
         list(enumerate_labeled_graphs(7))
 
 
+def test_enumeration_refuses_a_negative_size():
+    with pytest.raises(DomainError, match="vertex count must be >= 0"):
+        next(enumerate_labeled_graphs(-1))
+
+
 def test_sweep_stats_consistent():
     stats = _sweep_stats(4)
     assert len(stats) == 64
