@@ -4,7 +4,9 @@ that collapse the outer maximum of the dimension to a single subdim call.
 Elements of Z_{n_1} x ... x Z_{n_k} are encoded as mixed-radix integers
 with the first coordinate least significant, so for Z_2^k the encoding is
 plain binary and the n-dimensional hypercube is the Cayley graph of the
-unit vectors with vertex ids matching ``hypercube_graph``.
+unit vectors with vertex ids matching ``hypercube_graph``.  Only ``encode``
+and ``decode`` walk those digits; ``translate`` maps a whole bitset, a digit
+rotating every block of ids that agree on the higher coordinates.
 
 Translating any vertex set by a group element is a graph automorphism,
 and some translate of the whole graph's half-witness covers a majority of
@@ -18,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import Graph, bits_of
+from .core import Graph, mask_of
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -78,23 +80,10 @@ class AbelianGroup:
         return tuple(out)
 
     def add(self, x: int, y: int) -> int:
-        out = 0
-        stride = 1
-        for n in self.orders:
-            out += ((x + y) % n) * stride
-            x //= n
-            y //= n
-            stride *= n
-        return out
+        return self.encode(map(operator.add, self.decode(x), self.decode(y)))
 
     def neg(self, x: int) -> int:
-        out = 0
-        stride = 1
-        for n in self.orders:
-            out += (-x % n) * stride
-            x //= n
-            stride *= n
-        return out
+        return self.encode(-c for c in self.decode(x))
 
 
 @dataclass(frozen=True)
@@ -121,24 +110,25 @@ def _check_generators(grp: AbelianGroup, gens: GeneratorSet) -> None:
 def cayley_graph(grp: AbelianGroup, gens: GeneratorSet) -> Graph:
     """Graph on the group elements with an edge x ~ x+s for each generator s."""
     _check_generators(grp, gens)
-    n = grp.size
-    adj = [0] * n
-    for x in range(n):
-        for s in gens.elements:
-            adj[x] |= 1 << grp.add(x, s)
-    return Graph(n, tuple(adj))
+    conn = mask_of(gens.elements)
+    return Graph(grp.size, tuple(translate(grp, conn, x) for x in range(grp.size)))
 
 
 def translate(grp: AbelianGroup, subset: int, a: int) -> int:
-    """Image of a vertex set under addition of the group element a."""
+    """Image of a vertex set under addition of the group element a: a digit d
+    in a coordinate of order n and stride t rotates every block of t*n ids up
+    by d*t, two masked shifts whose low mask repeats (1 << (n-d)*t) - 1."""
     if subset >> grp.size:
         raise DomainError("vertex set mentions ids outside the group")
-    if not 0 <= a < grp.size:
-        raise DomainError(f"element id {a} out of range for group of size {grp.size}")
-    out = 0
-    for x in bits_of(subset):
-        out |= 1 << grp.add(x, a)
-    return out
+    full = (1 << grp.size) - 1
+    stride = 1
+    for n, d in zip(grp.orders, grp.decode(a)):
+        block = stride * n
+        if d:
+            low = ((1 << (n - d) * stride) - 1) * (full // ((1 << block) - 1))
+            subset = (subset & low) << d * stride | (subset & ~low) >> (n - d) * stride
+        stride = block
+    return subset
 
 
 def dim_via_transitivity(grp: AbelianGroup, gens: GeneratorSet,

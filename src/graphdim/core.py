@@ -53,6 +53,8 @@ def mask_of(vertices) -> int:
     """Bitset from an iterable of vertex ids."""
     m = 0
     for v in vertices:
+        if v < 0:
+            raise DomainError(f"vertex ids are nonnegative, got {v}")
         m |= 1 << v
     return m
 

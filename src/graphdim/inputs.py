@@ -81,7 +81,7 @@ def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:
         if len(orders) != 1:
             raise ParseError("bare-residue generators need a single cyclic factor; "
                              "use tuples like (1,0),(0,1)")
-        elements = [s % orders[0] for s in scalars]
+        elements = [grp.encode((s,)) for s in scalars]
     if not elements:
         raise ParseError("cayley spec needs at least one generator")
     return grp, GeneratorSet(elements)
@@ -112,6 +112,7 @@ def _read_file(path: str, cap: int | None) -> Graph:
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
     with open(path, "rb") as fh:
         raw = bytearray()
+        skipped = 0  # line breaks, as splitlines counts them, of a blank prefix not in raw
         head = ""
         while True:  # until the first non-blank line ends, _HEAD bytes of it, or EOF
             block = fh.read(_HEAD)
@@ -119,6 +120,10 @@ def _read_file(path: str, cap: int | None) -> Graph:
             head = (head + block.decode("ascii", "surrogateescape")).lstrip()
             if not block or "\n" in head or len(head) >= _HEAD:
                 break
+            if not head:  # blank so far: drop all but a last "\r", which may start "\r\n"
+                blank = raw.decode("ascii").removesuffix("\r")
+                skipped += len((blank + ".").splitlines()) - 1
+                del raw[:len(blank)]
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")
@@ -132,7 +137,7 @@ def _read_file(path: str, cap: int | None) -> Graph:
             parse = parse_graph6
         require_within_cap(n, cap, "load_input")
         try:
-            text = (raw + fh.read()).decode("ascii")
+            text = (b"\n" * skipped + raw + fh.read()).decode("ascii")
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not an ASCII graph file") from None
     return parse(text)

@@ -13,6 +13,7 @@ from graphdim.cayley import (
     translate,
 )
 from graphdim.core import (
+    bits_of,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -83,6 +84,12 @@ def test_constructors_take_integers_exactly():
                  id="translate-outside"),
     pytest.param(lambda: translate(AbelianGroup((2, 2)), -1, 1), "outside the group",
                  id="translate-negative"),
+    pytest.param(lambda: AbelianGroup((2, 2)).add(5, 0), "element id 5 out of range",
+                 id="add-high"),
+    pytest.param(lambda: AbelianGroup((2, 2)).add(0, -1), "element id -1 out of range",
+                 id="add-negative"),
+    pytest.param(lambda: AbelianGroup((2, 2)).neg(7), "element id 7 out of range",
+                 id="neg-high"),
 ])
 def test_group_refusals(call, message):
     with pytest.raises(DomainError, match=message):
@@ -162,6 +169,32 @@ def test_translate_inverse_undoes():
         assert translate(grp, w, a).bit_count() == w.bit_count()
 
 
+def _group_and_two_sets():
+    orders = st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(
+        lambda o: math.prod(o) <= 64)
+    return orders.flatmap(lambda o: st.tuples(
+        st.just(AbelianGroup(tuple(o))),
+        st.integers(0, 2**math.prod(o) - 1), st.integers(0, 2**math.prod(o) - 1)))
+
+
+@settings(derandomize=True, database=None)
+@given(_group_and_two_sets(), st.data())
+def test_translate_and_cayley_graph_match_per_element_sums(case, data):
+    grp, w, s = case
+    a = data.draw(st.integers(0, grp.size - 1))
+
+    def plus(x, y):  # coordinatewise, one element at a time
+        return grp.encode([(p + q) % n for p, q, n in
+                           zip(grp.decode(x), grp.decode(y), grp.orders)])
+
+    assert translate(grp, w, a) == mask_of(plus(x, a) for x in bits_of(w))
+    # the nonzero members of s and their negations form a connection set
+    conn = {t for t in bits_of(s) if t}
+    conn |= {grp.encode([-c for c in grp.decode(t)]) for t in conn}
+    rows = tuple(mask_of(plus(x, t) for t in conn) for x in range(grp.size))
+    assert cayley_graph(grp, GeneratorSet(conn)).adj == rows
+
+
 # ---------------------------------------------------------------------------
 # counting identity and averaging
 # ---------------------------------------------------------------------------
@@ -200,14 +233,6 @@ def test_counting_identity_random_triples():
         w = rng.getrandbits(grp.size)
         s = rng.getrandbits(grp.size)
         assert sum(_overlaps(grp, w, s)) == w.bit_count() * s.bit_count()
-
-
-def _group_and_two_sets():
-    orders = st.lists(st.integers(1, 8), min_size=1, max_size=3).filter(
-        lambda o: math.prod(o) <= 64)
-    return orders.flatmap(lambda o: st.tuples(
-        st.just(AbelianGroup(tuple(o))),
-        st.integers(0, 2**math.prod(o) - 1), st.integers(0, 2**math.prod(o) - 1)))
 
 
 @settings(derandomize=True, database=None)

@@ -94,6 +94,18 @@ def test_parse_error_exit_2():
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("text,line", [
+    ("\n\n3\n0 1\n0 9\n", 5),
+    (" \r\n" * 100 + "3\n0 1\n0 9\n", 103),  # a blank prefix longer than the head
+])
+def test_parse_errors_count_the_lines_of_a_blank_prefix(tmp_path, text, line):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    proc = run_cli("compute", str(path))
+    assert proc.returncode == 2
+    assert f"line {line}: endpoint out of range" in proc.stderr
+
+
 def test_non_ascii_file_exit_2(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_bytes("gráph".encode("utf-8"))
@@ -314,7 +326,8 @@ def test_oversize_file_refused_without_reading_its_body(tmp_path):
     head = "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
     (tmp_path / "big.g6").write_text(head + "?" * ((n * (n - 1) // 2 + 5) // 6) + "\n")
     (tmp_path / "big.txt").write_text("3000000\n" + "0 1\n" * 4_000_000)
-    for name in ("big.g6", "big.txt"):
+    (tmp_path / "blank.txt").write_text("\n" * 16_000_000 + "3000000\n")
+    for name in ("big.g6", "big.txt", "blank.txt"):
         proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(tmp_path / name)],
                               capture_output=True, text=True, env=subprocess_env())
         code, grown_kb = map(int, proc.stdout.split())

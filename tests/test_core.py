@@ -455,6 +455,8 @@ _C5 = cycle_graph(5)
     pytest.param(lambda: next(subsets_of_mask(0b101, 3)), DomainError,
                  "size 3 out of range for a 2-element set", id="subsets_of_mask-too-large"),
     pytest.param(lambda: bits_of(-1), DomainError, "nonnegative", id="bits_of-negative"),
+    pytest.param(lambda: mask_of([2, -1]), DomainError, "nonnegative, got -1",
+                 id="mask_of-negative"),
     pytest.param(lambda: next(subsets_of_mask(-1, 1)), DomainError, "nonnegative",
                  id="subsets_of_mask-negative"),
 ])
