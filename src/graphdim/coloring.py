@@ -56,10 +56,19 @@ class DecompositionRound:
 
 
 def is_proper(g: Graph, colors) -> bool:
+    """True when colors (one hashable label per vertex) gives the endpoints
+    of every edge different labels: one bitset per color class, and no
+    vertex may have a neighbour in its own class."""
     colors = tuple(colors)
     if len(colors) != g.n:
         return False
-    return all(colors[u] != colors[v] for u, v in g.edges())
+    classes = dict.fromkeys(colors, 0)
+    for v, c in enumerate(colors):
+        classes[c] |= 1 << v
+    for row, c in zip(g.adj, colors):
+        if row & classes[c]:
+            return False
+    return True
 
 
 def greedy_coloring(g: Graph, order) -> Coloring:

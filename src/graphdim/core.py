@@ -10,6 +10,7 @@ keeps degree-within-subset queries at a single AND plus popcount.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 from dataclasses import dataclass
 
@@ -253,14 +254,22 @@ def _g6_header(data: bytes):
     return n, data[1:]
 
 
-def _g6_pairs(n: int):
-    """The graph6 bit order: the upper triangle column by column, (i, j) with
-    j = 1..n-1 and i = 0..j-1."""
-    return ((i, j) for j in range(1, n) for i in range(j))
+# graph6 packs its bit string six bits to a byte, most significant first, as
+# base64 does; only the alphabet differs (byte 63 + value), so binascii packs
+# and unpacks it and one translation table maps between the two alphabets
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_TO_G6, _FROM_G6 = bytes.maketrans(_B64, _G6), bytes.maketrans(_G6, _B64)
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph in graph6 format (optionally prefixed '>>graph6<<')."""
+    """Decode one graph in graph6 format (optionally prefixed '>>graph6<<').
+
+    The bit string holds the upper triangle column by column: column j is
+    the pairs (i, j) for i = 0..j-1, one contiguous run of j bits, so it
+    gives the bits of adj[j] below j at once.  One loop over its set bits
+    then fills in the upper triangle.
+    """
     line = text.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
@@ -273,33 +282,43 @@ def parse_graph6(text: str) -> Graph:
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ParseError(f"graph6 body has {len(body)} bytes, expected {expect} for n={n}")
-    for b in body:
-        if not 63 <= b <= 126:
-            raise ParseError(f"graph6 body byte {b} out of range")
-    bits = "".join(format(b - 63, "06b") for b in body)
+    if body and not (63 <= min(body) and max(body) <= 126):
+        bad = next(b for b in body if not 63 <= b <= 126)
+        raise ParseError(f"graph6 body byte {bad} out of range")
+    raw = binascii.a2b_base64(body.translate(_FROM_G6) + b"A" * (-len(body) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")[:6 * len(body)]
     if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 body")
     adj = [0] * n
-    for (i, j), bit in zip(_g6_pairs(n), bits):
-        if bit == "1":
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    start = 0
+    for j in range(1, n):
+        below = int(bits[start:start + j][::-1], 2)
+        start += j
+        adj[j] |= below
+        bit = 1 << j
+        while below:
+            low = below & -below
+            adj[low.bit_length() - 1] |= bit
+            below ^= low
     return Graph(n, tuple(adj))
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode to graph6, bit-exact with the standard format."""
+    """Encode to graph6, bit-exact with the standard format: column j of the
+    bit string is the j bits of adj[j] below j, lowest vertex first."""
     n = g.n
     if n > _G6_MAX_N:
         raise DomainError(f"graph6 encoding supports n <= {_G6_MAX_N}")
     if n <= 62:
-        head = [n + 63]
+        head = bytes([n + 63])
     else:
-        head = [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    bits = "".join("1" if g.adj[i] >> j & 1 else "0" for i, j in _g6_pairs(n))
-    bits += "0" * (-len(bits) % 6)
-    body = [int(bits[k:k + 6], 2) + 63 for k in range(0, len(bits), 6)]
-    return bytes(head + body).decode("ascii")
+        head = bytes([126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    size = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)  # whole groups of four characters, three bytes
+    raw = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False)[:size].translate(_TO_G6)
+    return (head + body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

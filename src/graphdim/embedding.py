@@ -12,6 +12,9 @@ supports), so all points are pairwise distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
+from math import gcd
+from operator import methodcaller
 
 from .coloring import Coloring, is_proper
 from .core import Graph
@@ -25,10 +28,16 @@ __all__ = [
     "format_embedding",
 ]
 
+_ratio = methodcaller("as_integer_ratio")
+
 
 @dataclass(frozen=True)
 class Embedding:
-    """Vertex -> point map; points[v] has ambient_dim int or Fraction coordinates."""
+    """Vertex -> point map; points[v] has ambient_dim int or Fraction coordinates.
+
+    verify_embedding refuses any other coordinate (a float, say) with
+    DomainError: a float never certifies a unit distance.
+    """
 
     ambient_dim: int
     points: tuple[tuple, ...]
@@ -86,25 +95,85 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     """Check exactly that every edge has squared length 1 and that all
     points are distinct.
 
-    An edge's squared length is |p|^2 + |q|^2 - 2<p, q>, summed over the
-    nonzero coordinates only.  Points are distinct when their coordinate
-    tuples are, which one set checks in O(n k).
+    One pass over the points finds each vertex's support (its nonzero
+    coordinates), the bitset on[i] of vertices nonzero at coordinate i, and
+    a norm id: each squared norm is computed once per distinct tuple of
+    nonzero values.  An edge whose endpoints share no coordinate has squared
+    length |p|^2 + |q|^2, so for each vertex u one bitset test settles all
+    such edges: its neighbours outside shared(u), the OR of on[i] over u's
+    support, must have a norm that adds to 1 with u's.  Only the edges
+    inside shared(u) take the exact inner product.  Points are distinct
+    when their (support, nonzero values) pairs are.  Cost: O(n * support)
+    bitset steps, plus exact arithmetic only on edges whose endpoints share
+    a coordinate (none, for the embedding of a proper coloring).
+
+    Raises DomainError for a point that does not have ambient_dim
+    coordinates, or a coordinate that is not an int or a Fraction.
     """
-    if len(emb.points) != g.n:
-        raise DomainError(f"embedding covers {len(emb.points)} vertices, graph has {g.n}")
-    support = [{i: x for i, x in enumerate(p) if x} for p in emb.points]
-    norm = [sum(x * x for x in s.values()) for s in support]
+    from fractions import Fraction  # imported here, as in unit_distance_embed
 
-    def squared_length(u, v):
-        su, sv = support[u], support[v]
-        shared = su.keys() & sv.keys()
-        if not shared:  # as for every edge of a coloring's embedding: no inner product
-            return norm[u] + norm[v]
-        return norm[u] + norm[v] - 2 * sum(su[i] * sv[i] for i in shared)
+    points = emb.points
+    if len(points) != g.n:
+        raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
+    d = emb.ambient_dim
+    if set(map(len, points)) - {d}:
+        raise DomainError(f"every point needs ambient_dim={d} coordinates")
+    for kind in set(map(type, chain.from_iterable(points))):
+        if not issubclass(kind, (int, Fraction)):
+            raise DomainError(f"coordinates must be int or Fraction, got {kind.__name__}")
+    on = [0] * d
+    supports, keys, norm_of = [], [], []
+    key_norm = {}  # (numerator, denominator) pairs of the nonzero values -> norm id
+    norm_ids = {}  # squared norm as a reduced (numerator, denominator) -> norm id
+    for v, p in enumerate(points):
+        support = tuple(compress(range(d), p))
+        for i in support:
+            on[i] |= 1 << v
+        key = tuple(map(_ratio, map(p.__getitem__, support)))
+        k = key_norm.get(key)
+        if k is None:
+            num, den = 0, 1
+            for a, b in key:
+                num, den = num * b * b + a * a * den, den * b * b
+            common = gcd(num, den)
+            k = key_norm[key] = norm_ids.setdefault((num // common, den // common), len(norm_ids))
+        supports.append(support)
+        keys.append(key)
+        norm_of.append(k)
+    norms = list(norm_ids)
+    members = [0] * len(norms)  # norm id -> bitset of the vertices with that norm
+    for v, k in enumerate(norm_of):
+        members[k] |= 1 << v
+    partners = []  # norm id k -> the vertices whose norm adds to 1 with norms[k]
+    for num, den in norms:
+        k = norm_ids.get((den - num, den))  # 1 - num/den, still reduced
+        partners.append(0 if k is None else members[k])
+    shared = {}  # support -> OR of on[i] over it
+    for support in set(supports):
+        mask = 0
+        for i in support:
+            mask |= on[i]
+        shared[support] = mask
 
-    return EmbeddingReport(ambient_dim=emb.ambient_dim,
-                           edges_ok=all(squared_length(u, v) == 1 for u, v in g.edges()),
-                           distinct_ok=len(set(emb.points)) == g.n)
+    def edges_ok():
+        for u, row in enumerate(g.adj):
+            near = shared[supports[u]]
+            if row & ~(near | partners[norm_of[u]]):
+                return False
+            rest = (row & near) >> (u + 1)  # each edge with a shared coordinate once
+            p = points[u]
+            while rest:
+                low = rest & -rest
+                v = u + low.bit_length()
+                q = points[v]
+                dot = sum(p[i] * q[i] for i in supports[u] if q[i])
+                if Fraction(*norms[norm_of[u]]) + Fraction(*norms[norm_of[v]]) - 2 * dot != 1:
+                    return False
+                rest ^= low
+        return True
+
+    return EmbeddingReport(ambient_dim=d, edges_ok=edges_ok(),
+                           distinct_ok=len(set(zip(supports, keys))) == g.n)
 
 
 def format_embedding(emb: Embedding, col: Coloring) -> str:

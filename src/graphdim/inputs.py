@@ -97,38 +97,49 @@ _FAMILIES = {
 }
 
 
-# bytes of a file's first non-blank line read before the cap check: more than
+# a file's first non-blank line must end within this many bytes: more than
 # any vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
 _HEAD = 64
+# bytes read at a time while the file is blank so far; only the count of
+# line breaks in a blank prefix is kept
+_BLANK_BLOCK = 1 << 16
+# the ASCII characters str.splitlines ends a line at ("\r\n" ends one line)
+_ASCII_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _read_file(path: str, cap: int | None) -> Graph:
     """Read and parse a graph file through one handle.  The vertex count its
     header declares is checked against the cap once the first non-blank line
-    is read (at most _HEAD bytes past its start), before any work or memory
-    that grows with the file."""
+    has ended, or _HEAD bytes of it are read, before any work or memory that
+    grows with the file."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
     with open(path, "rb") as fh:
         raw = bytearray()
         skipped = 0  # line breaks, as splitlines counts them, of a blank prefix not in raw
-        head = ""
-        while True:  # until the first non-blank line ends, _HEAD bytes of it, or EOF
+        while True:  # until the file is not blank so far, or EOF
+            block = fh.read(_BLANK_BLOCK)
+            raw += block
+            prefix = raw.decode("ascii", "surrogateescape")
+            head = prefix.lstrip()
+            if head or not block:
+                break
+            # all blank, so ASCII: drop all but a last "\r", which may start "\r\n"
+            blank = prefix.removesuffix("\r")
+            skipped += sum(map(blank.count, _ASCII_BREAKS))
+            if "\r" in blank:  # a "\r\n" pair ends one line, not two
+                skipped -= blank.count("\r\n")
+            del raw[:len(blank)]
+        while block and "\n" not in head and len(head) < _HEAD:  # the first line runs on
             block = fh.read(_HEAD)
             raw += block
-            head = (head + block.decode("ascii", "surrogateescape")).lstrip()
-            if not block or "\n" in head or len(head) >= _HEAD:
-                break
-            if not head:  # blank so far: drop all but a last "\r", which may start "\r\n"
-                blank = raw.decode("ascii").removesuffix("\r")
-                skipped += len((blank + ".").splitlines()) - 1
-                del raw[:len(blank)]
+            head += block.decode("ascii", "surrogateescape")
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")
         if not path.endswith(".g6") and re.fullmatch(r"-?[0-9]+", first):
-            if block and first == head:  # the digits run on past the head
+            if len(first) >= _HEAD:
                 raise CapExceeded(
                     f"{path}: its vertex count line does not end within {_HEAD} bytes")
             n, parse = int(first), parse_edge_list

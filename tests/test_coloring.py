@@ -84,6 +84,26 @@ def test_is_proper_is_false_for_a_coloring_of_the_wrong_length():
     assert not is_proper(g, (0, 1, 0, 1))
 
 
+def test_is_proper_finds_a_planted_monochromatic_edge():
+    rng = random.Random(18)
+    g = random_graph(rng, 300, 0.05)
+    colors = greedy_coloring(g, range(g.n)).colors
+    assert is_proper(g, colors)
+    edges = list(g.edges())
+    for u, v in (edges[0], edges[-1], rng.choice(edges)):
+        planted = list(colors)
+        planted[v] = planted[u]
+        assert not is_proper(g, planted)
+
+
+def test_is_proper_takes_any_hashable_labels():
+    g = cycle_graph(4)
+    assert is_proper(g, ["red", "blue", "red", "blue"])
+    assert not is_proper(g, ["red", "blue", "blue", "red"])
+    assert is_proper(g, iter([(0,), "x", (0,), "x"]))
+    assert not is_proper(g, ("a", "b", "a"))
+
+
 # ---------------------------------------------------------------------------
 # greedy
 # ---------------------------------------------------------------------------

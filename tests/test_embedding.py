@@ -101,6 +101,17 @@ def test_verifier_flags_coincident_points():
     assert report.edges_ok
 
 
+@pytest.mark.parametrize("points,message", [
+    (((0.5, 0), (-0.5, 0)), "got float"),        # would read as a unit edge
+    (((HALF, 0.0), (-HALF, 0)), "got float"),    # even a float zero
+    (((HALF, "0"), (-HALF, 0)), "got str"),
+    (((HALF, 0), (-HALF,)), "ambient_dim=2"),
+])
+def test_verifier_refuses_inexact_or_misshapen_points(points, message):
+    with pytest.raises(DomainError, match=message):
+        verify_embedding(complete_graph(2), Embedding(2, points))
+
+
 def test_verifier_single_vertex():
     g = path_graph(1)
     emb = unit_distance_embed(g, Coloring((0,)))
@@ -169,6 +180,58 @@ def test_exact_check_accepts_embeddings_and_rejects_any_change(case, pick):
             copied[b] = copied[a]
             report = verify_embedding(g, Embedding(emb.ambient_dim, tuple(copied)))
             assert not report.distinct_ok
+
+
+_VALUES = (0, 0, 1, -1, 2, HALF, -HALF, Fraction(3, 5), Fraction(-4, 5), Fraction(0), Fraction(1, 3))
+
+
+def _unit_steps(d):
+    """Exact unit vectors in R^d: +-e_i, and (3/5, -4/5) in each pair of
+    coordinates."""
+    steps = []
+    for i in range(d):
+        for sign in (1, -1):
+            steps.append(tuple(sign if k == i else 0 for k in range(d)))
+        for j in range(i + 1, d):
+            steps.append(tuple(Fraction(3, 5) if k == i else Fraction(-4, 5) if k == j else 0
+                               for k in range(d)))
+    return steps
+
+
+@st.composite
+def _embedded_graphs(draw):
+    """Points with shared coordinates, zero points, coincident points and
+    int/Fraction mixes.  A point is drawn afresh, copied from an earlier one,
+    or an earlier one moved by an exact unit step; unit-length pairs become
+    edges more often than others, so that edges between points with a shared
+    coordinate take both verdicts."""
+    n, d = draw(st.integers(1, 7)), draw(st.integers(0, 4))
+    fresh = st.tuples(*[st.sampled_from(_VALUES)] * d)
+    steps = _unit_steps(d)
+    points = []
+    for _ in range(n):
+        how = draw(st.sampled_from(("fresh", "copy", "step", "step", "step"))) if points else "fresh"
+        if how == "fresh" or not steps and how == "step":
+            points.append(draw(fresh))
+        else:
+            base = draw(st.sampled_from(points))
+            step = draw(st.sampled_from(steps)) if how == "step" else (0,) * d
+            points.append(tuple(a + b for a, b in zip(base, step)))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    coins = draw(st.lists(st.integers(0, 7), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(u, v) for (u, v), coin in zip(pairs, coins)
+             if coin == 7 or coin and _squared_length(points[u], points[v]) == 1]
+    return Graph.from_edges(n, edges), Embedding(d, tuple(points))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_embedded_graphs())
+def test_verifier_equals_the_dense_exact_reference(case):
+    g, emb = case
+    report = verify_embedding(g, emb)
+    assert report.edges_ok == all(_squared_length(emb.points[u], emb.points[v]) == 1
+                                  for u, v in g.edges())
+    assert report.distinct_ok == (len({tuple(map(Fraction, p)) for p in emb.points}) == g.n)
 
 
 # the two constructive bounds on the unit-distance dimension: 2 * chi,
