@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import binascii
 import itertools
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -186,11 +187,28 @@ def relabel(g: Graph, perm) -> Graph:
 # parsing
 # ---------------------------------------------------------------------------
 
+# an integer of the edge-list format, its count line included
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _decimal(field: str) -> int:
+    """int() of a field that _INTEGER matches whole, else ValueError."""
+    if not _INTEGER.fullmatch(field):
+        raise ValueError(field)
+    return int(field)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain text format: first line n, then one 'u v' pair per line.
 
-    Duplicate edges are tolerated; blank lines are skipped.
+    Duplicate edges are tolerated; blank lines are skipped.  An integer is
+    ASCII decimal digits with an optional leading '-', the rule _INTEGER that
+    the loader also applies to a file's count line; int() alone would also
+    take '+3', '1_0' and non-ASCII digits.  Of those, ASCII text can only
+    hold '+' and '_', so text free of both converts with int(), and only
+    other text is checked field by field.
     """
+    to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     lines = text.splitlines()
     n = None
     edges = []
@@ -203,7 +221,7 @@ def parse_edge_list(text: str) -> Graph:
             if len(fields) != 1:
                 raise ParseError("expected a lone vertex count", lineno)
             try:
-                n = int(fields[0])
+                n = to_int(fields[0])
             except ValueError:
                 raise ParseError(f"bad vertex count {fields[0]!r}", lineno) from None
             if n < 0:
@@ -212,7 +230,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {stripped!r}", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = to_int(fields[0]), to_int(fields[1])
         except ValueError:
             raise ParseError(f"non-integer endpoint in {stripped!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):

@@ -10,8 +10,10 @@ floor(m/2) + 1, and that is the only size the solvers enumerate.
 
 The solver comes in two independent routes: a brute-force oracle
 (``subdim_naive``) that enumerates every candidate subset, and a pruned
-branch-and-bound (``subdim_exists`` / ``subdim``) used for real work.  Both
-return the same value and the same witness: subsets are explored in
+branch-and-bound (``subdim_exists`` / ``subdim``) used for real work, which
+cuts the neighbors of saturated members and rejects a pick that leaves a
+member too few non-neighbors to complete the selection within degree d.
+Both return the same value and the same witness: subsets are explored in
 increasing numeric bitset order, so the reported witness is always the
 numerically smallest optimal subset and certificates compare bit-for-bit
 across routes and runs.
@@ -84,12 +86,23 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     still needed; a depth that needs `need` members skips its lowest
     need - 1 candidates, which must stay free to lie below its pick.
 
-    The cuts change no leaf order: a cut vertex would have made a
-    saturated member exceed d, and since the included set and the cuts only
-    grow along a branch it could never have joined below that point either.
-    So every pruned branch holds no complete selection, the first complete
-    selection is still the numerically smallest witness, and an exhausted
-    search is still a refutation.
+    A pick is also rejected when a member runs out of non-neighbor budget.
+    If v joins with c < d included neighbors, at most d - c of the `need`
+    members still to come may be its neighbors, so at least need - (d - c)
+    of them must come from the candidates outside adj[v]; v is rejected
+    when (below & ~adj[v]) holds fewer.  The same holds for each included
+    neighbor u of v that v does not saturate: with v it has cu + 1 included
+    neighbors (cu counted before v joins), so its budget is d - 1 - cu.
+    Each test is one AND and one popcount; no partition is built.
+
+    Neither the cuts nor the budgets change the leaf order.  A cut vertex
+    would have made a saturated member exceed d, and since the included set
+    and the cuts only grow along a branch it could never have joined below
+    that point either.  A rejected budget means every completion gives v or
+    u more than d included neighbors, since the members still to come lie
+    in `below`.  So every pruned branch holds no complete selection, the
+    first complete selection is still the numerically smallest witness, and
+    an exhausted search is still a refutation.
 
     Uncapped by design, like subdim: the capped entry points (dim_exact,
     decomposition_coloring, dim_via_transitivity; load_input for the CLI)
@@ -126,16 +139,21 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
         if c > d:
             continue
         below = origin[depth] & (low - 1)
+        need = s - depth - 1  # members still needed below v
         if c == d:
             below &= ~adj[v]  # v is saturated
+        elif (below & ~adj[v]).bit_count() + d - c < need:
+            continue  # v has room for d - c more neighbors
         while nbrs:
-            u = nbrs & -nbrs
-            nbrs ^= u
-            u = u.bit_length() - 1
-            if (adj[u] & included).bit_count() == d - 1:
+            bit = nbrs & -nbrs
+            u = bit.bit_length() - 1
+            cu = (adj[u] & included).bit_count()
+            if cu == d - 1:
                 below &= ~adj[u]  # v saturates u
-        need = s - depth - 1  # members still needed below v
-        if below.bit_count() < need:
+            elif (below & ~adj[u]).bit_count() + d - 1 - cu < need:
+                break  # with v, u has room for d - 1 - cu more neighbors
+            nbrs ^= bit
+        if nbrs or below.bit_count() < need:
             continue
         included |= low
         if not need:

@@ -31,6 +31,7 @@ import re
 from .cayley import AbelianGroup, GeneratorSet, cayley_graph
 from .core import (
     Graph,
+    _INTEGER,
     _g6_header,
     complete_bipartite_graph,
     complete_graph,
@@ -138,7 +139,7 @@ def _read_file(path: str, cap: int | None) -> Graph:
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")
-        if not path.endswith(".g6") and re.fullmatch(r"-?[0-9]+", first):
+        if not path.endswith(".g6") and _INTEGER.fullmatch(first):
             if len(first) >= _HEAD:
                 raise CapExceeded(
                     f"{path}: its vertex count line does not end within {_HEAD} bytes")

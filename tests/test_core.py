@@ -164,6 +164,14 @@ def test_parse_edge_list_duplicates_tolerated():
     ("2\n0 1 2", "expected"),
     ("x\n0 1", "vertex count"),
     ("", "empty input"),
+    # integers are ASCII decimal digits with an optional leading '-', as the
+    # loader's header rule -?[0-9]+ reads them; int() alone takes these too
+    ("1_0\n0 9", "line 1: bad vertex count '1_0'"),
+    ("10\n\n0 1_0", "line 3: non-integer endpoint in '0 1_0'"),
+    ("+3\n0 2", "line 1: bad vertex count '+3'"),
+    ("3\n\n0 +2", "line 3: non-integer endpoint in '0 +2'"),
+    ("\u0663\n0 2", "line 1: bad vertex count '\u0663'"),  # Arabic-Indic 3
+    ("3\n\n0 \u0662", "line 3: non-integer endpoint in '0 \u0662'"),
 ])
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(ParseError) as err:
