@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import Graph, mask_of
+from .core import Graph, _integer, mask_of
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -32,13 +32,6 @@ __all__ = [
     "translate",
     "dim_via_transitivity",
 ]
-
-
-def _integer(x, what: str) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)

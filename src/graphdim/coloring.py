@@ -3,17 +3,19 @@ decomposition coloring driven by half-witness subsets.
 
 The decomposition colorer is the constructive side of the chromatic bound:
 peel off a majority-size subset of the remaining vertices whose induced max
-degree is as small as possible (the subdim witness), color it greedily with
+degree is as small as possible (the subdim witness), color it first-fit with
 fresh colors, and repeat.  Each round at least halves the remainder, so
 there are at most ceil(log2 n) rounds and each round spends at most
-subdim(remainder) + 1 <= dim(g) + 1 colors.
+subdim(remainder) + 1 <= dim(g) + 1 colors.  Every coloring here comes
+from one loop, ``_color_decision``: first-fit (greedy, each round) when its
+palette is as large as the vertex set, the chromatic decision when smaller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, _check_subset, bits_of, ceil_log2
+from .core import Graph, _check_subset, _permutation, bits_of, ceil_log2
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -72,37 +74,19 @@ def is_proper(g: Graph, colors) -> bool:
 
 
 def greedy_coloring(g: Graph, order) -> Coloring:
-    """First-fit coloring along the given vertex order (a permutation of V).
-
-    Uses at most max_degree(g) + 1 colors, with no gaps in the palette.
-    """
-    order = list(order)
-    if sorted(order) != list(range(g.n)):
-        raise DomainError("order must be a permutation of the vertices")
-    colors = [-1] * g.n
-    _first_fit(g.adj, order, g.vertex_mask, colors, 0)
-    return Coloring(tuple(colors))
+    """First-fit coloring along the given vertex order (a permutation of V),
+    run as _color_decision with a palette of n colors.  Uses at most
+    max_degree(g) + 1 colors, with no gaps in the palette."""
+    return Coloring(_colors(g.n, _color_decision(g.adj, _permutation(order, g.n, "order"), g.n)))
 
 
-def _first_fit(adj, order, within: int, colors: list[int], offset: int) -> int:
-    """First-fit color the vertices of `order` in place with ids offset,
-    offset + 1, ..., avoiding colored neighbors inside `within`, where every
-    colored vertex holds an id >= offset; returns the number of ids used."""
-    used = 0
-    for v in order:
-        taken = 0
-        rest = adj[v] & within
-        while rest:
-            low = rest & -rest
-            c = colors[low.bit_length() - 1]
-            if c >= 0:
-                taken |= 1 << (c - offset)
-            rest ^= low
-        c = (~taken & -~taken).bit_length() - 1  # lowest unused color
-        colors[v] = offset + c
-        if c + 1 > used:
-            used = c + 1
-    return used
+def _colors(n: int, classes: list[int]) -> tuple[int, ...]:
+    """Color ids of the n vertices, color c for the members of classes[c]."""
+    colors = [0] * n
+    for c, members in enumerate(classes):
+        for v in bits_of(members):
+            colors[v] = c
+    return tuple(colors)
 
 
 def _degree_order(adj, vertices) -> list[int]:
@@ -128,6 +112,11 @@ def _color_decision(adj, order: list[int], k: int) -> list[int] | None:
     Backtracking along `order` over the class bitsets and a stack of the
     classes chosen: v fits class c iff adj[v] & classes[c] == 0.  The usual
     symmetry break: after the open classes, a vertex may open one new class.
+
+    The first branch is first-fit: v joins the lowest class holding none of
+    its neighbours, else opens one.  For k >= len(order) it never fails (at
+    most i < k classes are open when order[i] comes), and neighbours outside
+    `order` are in no class: first-fit on `order` without backtracking.
     """
     classes = []
     placed = [0] * len(order)  # the class of order[i], for each placed i
@@ -160,9 +149,9 @@ def _color_decision(adj, order: list[int], k: int) -> list[int] | None:
 def _chromatic(adj, order: list[int]) -> tuple[int, list[int]]:
     """Smallest k with a proper k-coloring of the vertices of `order` (a
     _degree_order), with its color classes.  A greedy clique bounds k below
-    and backtracking decides each candidate upward.  At the first-fit
-    palette size the decision's first branch is first-fit itself and never
-    backtracks, so the scan ends there at the latest."""
+    and backtracking decides each candidate upward.  The decision's first
+    branch is first-fit, so at first-fit's palette size it succeeds without
+    backtracking and the scan ends there at the latest."""
     k = _clique_lower_bound(adj, order)
     while True:
         classes = _color_decision(adj, order, k)
@@ -180,8 +169,7 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     """
     require_within_cap(g.n, cap, "chromatic_number")
     k, classes = _chromatic(g.adj, _degree_order(g.adj, range(g.n)))
-    colors = tuple(next(c for c, m in enumerate(classes) if m >> v & 1) for v in range(g.n))
-    return k, Coloring(colors)
+    return k, Coloring(_colors(g.n, classes))
 
 
 def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> int:
@@ -238,19 +226,17 @@ def _decompose(g: Graph, full: SubdimCertificate
                ) -> tuple[Coloring, tuple[DecompositionRound, ...]]:
     """decomposition_coloring for n >= 1, given the full vertex set's
     certificate, which is the first round's."""
-    colors = [-1] * g.n
+    classes = []  # every round's color classes, each round's after the last's
     rounds = []
     remaining = g.vertex_mask
-    offset = 0
     while remaining:
         cert = full if remaining == g.vertex_mask else subdim(g, remaining)
         chunk = cert.witness_min
-        used = _first_fit(g.adj, bits_of(chunk), chunk, colors, offset)
         rounds.append(DecompositionRound(chunk=chunk, chunk_delta=cert.value,
-                                         palette_offset=offset))
-        offset += used
+                                         palette_offset=len(classes)))
+        classes += _color_decision(g.adj, bits_of(chunk), chunk.bit_count())
         remaining ^= chunk
-    return Coloring(tuple(colors)), tuple(rounds)
+    return Coloring(_colors(g.n, classes)), tuple(rounds)
 
 
 def decomposition_round_bound(n: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import binascii
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -37,6 +38,21 @@ __all__ = [
     "subsets_of_size",
     "subsets_of_mask",
 ]
+
+
+def _integer(x, what: str) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {x!r}") from None
+
+
+def _permutation(perm, n: int, what: str) -> list[int]:
+    """perm as a list of ints, refused unless it is a permutation of 0..n-1."""
+    perm = [_integer(v, f"{what} entry") for v in perm]
+    if sorted(perm) != list(range(n)):
+        raise DomainError(f"{what} must be a permutation of 0..n-1")
+    return perm
 
 
 def bits_of(mask: int) -> list[int]:
@@ -177,9 +193,7 @@ def induced_subgraph(g: Graph, subset: int) -> Graph:
 
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise DomainError("relabel needs a permutation of 0..n-1")
+    perm = _permutation(perm, g.n, "perm")
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
 
 

@@ -14,13 +14,14 @@ factor bare residues are accepted (gens=1,4).  The generator set is taken
 literally and must already be closed under negation.
 
 Files ending in .g6 are read as graph6; otherwise a file whose first
-non-blank line is a lone integer is read as an edge list, and anything
-else as graph6.  ``load_input`` checks the cap before any work or memory
-that grows with the input: a family spec by its parameters (cube:N by its
-exponent), a file by the vertex count in its header (that integer, or the
-graph6 size bytes); a count line that does not end within its first 64
-bytes is refused (CapExceeded).  A file is read once, through one handle,
-so pipes and FIFOs work too.
+non-blank line is a lone integer is read as an edge list, and any other as
+graph6 (if that line is no graph6 header either, the error names both).
+``load_input`` checks the cap before any work or memory that grows with the
+input: a family spec by its parameters (cube:N by its exponent), a file by
+the vertex count in its header (that integer, or the graph6 size bytes); a
+count line that does not end within its first 64 bytes is refused
+(CapExceeded).  A file is read once, through one handle, so pipes and FIFOs
+work too.
 """
 
 from __future__ import annotations
@@ -145,7 +146,12 @@ def _read_file(path: str, cap: int | None) -> Graph:
                     f"{path}: its vertex count line does not end within {_HEAD} bytes")
             n, parse = int(first), parse_edge_list
         else:
-            n = _g6_header(first.removeprefix(">>graph6<<")[:4].encode("ascii"))[0]
+            try:
+                n = _g6_header(first.removeprefix(">>graph6<<")[:4].encode("ascii"))[0]
+            except ParseError as exc:
+                if path.endswith(".g6"):
+                    raise
+                raise ParseError(f"{path} is neither an edge list nor graph6 ({exc})") from None
             parse = parse_graph6
         require_within_cap(n, cap, "load_input")
         try:

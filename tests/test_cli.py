@@ -126,6 +126,21 @@ def test_blank_prefix_is_skipped_in_blocks(tmp_path):
         inputs.load_input(str(path), None)
 
 
+@pytest.mark.parametrize("count,byte", [("+3", 43), ("1_0", 49)])
+def test_a_file_in_neither_format_names_both(tmp_path, count, byte):
+    path = tmp_path / "g.txt"
+    path.write_text(f"{count}\n0 1\n")
+    message = f"{path} is neither an edge list nor graph6 (bad graph6 header byte {byte})"
+    with pytest.raises(ParseError) as err:
+        cmd_compute(str(path), "subdim")
+    assert str(err.value) == message
+    assert cli.main(["compute", str(path), "--which", "subdim"]) == 2
+    # a .g6 file is graph6 whatever its first line
+    path = path.rename(tmp_path / "g.g6")
+    with pytest.raises(ParseError, match=f"^bad graph6 header byte {byte}$"):
+        cmd_compute(str(path), "subdim")
+
+
 def test_non_ascii_file_exit_2(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_bytes("gráph".encode("utf-8"))

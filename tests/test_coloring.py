@@ -128,10 +128,9 @@ def test_greedy_edgeless_single_color():
 
 def test_greedy_requires_permutation():
     g = path_graph(3)
-    with pytest.raises(DomainError):
-        greedy_coloring(g, [0, 1])
-    with pytest.raises(DomainError):
-        greedy_coloring(g, [0, 1, 1])
+    for order in ([0, 1], [0, 1, 1], [0.0, 1, 2], [0, "1", 2], [0, None, 2]):
+        with pytest.raises(DomainError):
+            greedy_coloring(g, order)
 
 
 def test_greedy_within_max_degree_plus_one():
@@ -144,6 +143,26 @@ def test_greedy_within_max_degree_plus_one():
         col = greedy_coloring(g, order)
         assert is_proper(g, col.colors)
         assert col.palette_size <= g.max_degree() + 1
+
+
+# sha256 of the JSON list of greedy_coloring's colors over 12 seeded graphs,
+# n = 50, 100, ..., 300 at densities 0.05 and 0.5, each in the identity order
+# and then in a shuffled order (palettes of up to 52 colors)
+_GREEDY_DIGEST = "f883c65f8dd51c50d7b5d079021af1aa1b1ece26e70bc3b86863e99dfa255d5c"
+
+
+def test_greedy_colorings_pinned():
+    rng = random.Random(50)
+    colorings = []
+    for n in range(50, 301, 50):
+        for p in (0.05, 0.5):
+            g = random_graph(rng, n, p)
+            order = list(range(n))
+            colorings.append(list(greedy_coloring(g, order).colors))
+            rng.shuffle(order)
+            colorings.append(list(greedy_coloring(g, order).colors))
+    text = json.dumps(colorings)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GREEDY_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,10 @@ _C5 = cycle_graph(5)
                  id="graph-row-count"),
     pytest.param(lambda: relabel(_C5, [0, 1, 2, 3, 3]), DomainError, "permutation",
                  id="relabel-non-permutation"),
+    pytest.param(lambda: relabel(_C5, [0, None, 2, 3, 4]), DomainError,
+                 "perm entry must be an integer, got None", id="relabel-non-integer"),
+    pytest.param(lambda: relabel(_C5, [0.0, 1, 2, 3, 4]), DomainError,
+                 "perm entry must be an integer, got 0.0", id="relabel-float"),
     pytest.param(lambda: parse_edge_list("-1\n"), ParseError, "vertex count must be >= 0",
                  id="edge-list-negative-count"),
     pytest.param(lambda: parse_edge_list("3\n0 x\n"), ParseError, "non-integer endpoint",
