@@ -104,7 +104,7 @@ def cayley_graph(grp: AbelianGroup, gens: GeneratorSet) -> Graph:
     """Graph on the group elements with an edge x ~ x+s for each generator s."""
     _check_generators(grp, gens)
     conn = mask_of(gens.elements)
-    return Graph(grp.size, tuple(translate(grp, conn, x) for x in range(grp.size)))
+    return Graph._built(grp.size, tuple(translate(grp, conn, x) for x in range(grp.size)))
 
 
 def translate(grp: AbelianGroup, subset: int, a: int) -> int:

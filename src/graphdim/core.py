@@ -88,44 +88,80 @@ def ceil_log2(n: int) -> int:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    adj[v] is the neighbor bitset of v.  Construction validates symmetry
-    and irreflexivity, so downstream code never re-checks them.
+    adj[v] is the neighbor bitset of v.  A graph is checked once, where it
+    enters the package, and trusted everywhere after.  Graph(n, adj) keeps
+    the rows as given and checks them all: integer n and rows, no vertex
+    >= n, no self-loop, and symmetry, one step per edge.  Builders whose rows are
+    symmetric, loop-free and below n by construction skip that walk through
+    the private Graph._built: from_edges, parse_edge_list and parse_graph6
+    after their own checks of n and of each edge, line or byte; and
+    induced_subgraph, hypercube_graph, cayley.cayley_graph and
+    verify.enumerate_labeled_graphs, whose rows come from a checked graph,
+    a checked group or a plain count.
     """
 
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "adj", tuple(self.adj))
-        if self.n < 0:
-            raise DomainError(f"vertex count must be >= 0, got {self.n}")
-        if len(self.adj) != self.n:
-            raise DomainError(f"adjacency has {len(self.adj)} rows for n={self.n}")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:  # O(len(row)); masking with ~full costs O(n) per row
-                raise DomainError(f"adjacency row of {v} mentions vertices >= {self.n}")
+        n = _integer(self.n, "vertex count")
+        try:
+            adj = tuple(self.adj)
+        except TypeError:
+            raise DomainError(f"adjacency must be a sequence of rows, got {self.adj!r}") from None
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        if n < 0:
+            raise DomainError(f"vertex count must be >= 0, got {n}")
+        if len(adj) != n:
+            raise DomainError(f"adjacency has {len(adj)} rows for n={n}")
+        for v, row in enumerate(adj):
+            _integer(row, f"adjacency row of {v}")
+            if row >> n:  # O(len(row)); masking with ~full costs O(n) per row
+                raise DomainError(f"adjacency row of {v} mentions vertices >= {n}")
             if row >> v & 1:
                 raise DomainError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             rest = row
             while rest:
                 low = rest & -rest
                 u = low.bit_length() - 1
-                if not self.adj[u] >> v & 1:
+                if not adj[u] >> v & 1:
                     raise DomainError(f"asymmetric edge {v}-{u}")
                 rest ^= low
 
     @classmethod
+    def _built(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A graph from rows that are symmetric, loop-free and below n by
+        construction, made without the checks of Graph(n, adj)."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        n = _integer(n, "vertex count")
+        if n < 0:
+            raise DomainError(f"vertex count must be >= 0, got {n}")
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise DomainError(f"edges must be an iterable of pairs, got {edges!r}") from None
         adj = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise DomainError(f"an edge is a pair of vertices, got {edge!r}") from None
+            u, v = _integer(u, "edge endpoint"), _integer(v, "edge endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge {u}-{v} out of range for n={n}")
             if u == v:
                 raise DomainError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls._built(n, tuple(adj))
 
     @property
     def vertex_mask(self) -> int:
@@ -188,7 +224,7 @@ def induced_subgraph(g: Graph, subset: int) -> Graph:
             row |= 1 << index[low.bit_length() - 1]
             rest ^= low
         adj.append(row)
-    return Graph(len(members), tuple(adj))
+    return Graph._built(len(members), tuple(adj))
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -220,17 +256,20 @@ def parse_edge_list(text: str) -> Graph:
     the loader also applies to a file's count line; int() alone would also
     take '+3', '1_0' and non-ASCII digits.  Of those, ASCII text can only
     hold '+' and '_', so text free of both converts with int(), and only
-    other text is checked field by field.
+    other text is checked field by field.  Each edge is checked for range
+    and self-loops on its line and set in both rows at once, so the rows
+    are symmetric by construction and the graph is built unchecked.  The
+    rows are allocated at the count line, before the edges are read, so a
+    caller bounds the count first (load_input checks it against the cap);
+    a count too large to allocate is a ParseError on its line.
     """
     to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     lines = text.splitlines()
     n = None
-    edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
+    adj = None
+    for lineno, fields in enumerate(map(str.split, lines), start=1):
+        if not fields:
             continue
-        fields = stripped.split()
         if n is None:
             if len(fields) != 1:
                 raise ParseError("expected a lone vertex count", lineno)
@@ -240,27 +279,49 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"bad vertex count {fields[0]!r}", lineno) from None
             if n < 0:
                 raise ParseError(f"vertex count must be >= 0, got {n}", lineno)
+            try:
+                adj = [0] * n
+            except (OverflowError, MemoryError):
+                raise ParseError(f"vertex count {n} too large", lineno) from None
             continue
         if len(fields) != 2:
-            raise ParseError(f"expected 'u v', got {stripped!r}", lineno)
+            raise ParseError(f"expected 'u v', got {lines[lineno - 1].strip()!r}", lineno)
         try:
             u, v = to_int(fields[0]), to_int(fields[1])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {stripped!r}", lineno) from None
+            raise ParseError(
+                f"non-integer endpoint in {lines[lineno - 1].strip()!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"endpoint out of range in edge {u}-{v} (n={n})", lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
     if n is None:
         raise ParseError("empty input, expected a vertex count line")
-    return Graph.from_edges(n, edges)
+    return Graph._built(n, tuple(adj))
+
+
+# bytes of a binary string as selectors for itertools.compress: '0' -> 0, '1' -> 1
+_SELECT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """The edge-list text of g: the line n, then 'u v' for each edge with
+    u < v, ascending.  A row at a time, the neighbors above v are picked
+    from a table of vertex names by the row's binary digits and joined into
+    that row's block of lines; a row costs the bit length of its part above
+    v, so sparse graphs stay linear in n + m."""
+    names = [str(v) for v in range(g.n)]
+    blocks = [str(g.n)]
+    for v, row in enumerate(g.adj):
+        above = row >> v + 1
+        if above:
+            picks = format(above, "b")[::-1].encode("ascii").translate(_SELECT)
+            head = f"{v} "
+            blocks.append(head + f"\n{head}".join(
+                itertools.compress(names[v + 1:v + 1 + len(picks)], picks)))
+    return "\n".join(blocks) + "\n"
 
 
 _G6_MAX_N = 258047  # largest n encodable in the 4-byte graph6 header
@@ -298,9 +359,14 @@ def parse_graph6(text: str) -> Graph:
     """Decode one graph in graph6 format (optionally prefixed '>>graph6<<').
 
     The bit string holds the upper triangle column by column: column j is
-    the pairs (i, j) for i = 0..j-1, one contiguous run of j bits, so it
-    gives the bits of adj[j] below j at once.  One loop over its set bits
-    then fills in the upper triangle.
+    the pairs (i, j) for i = 0..j-1, one contiguous run of j bits.  Column j
+    is laid into row j of an n-by-n square of '0'/'1' bytes, which is '0'
+    elsewhere.  Row v of the square then starts with the bits of adj[v]
+    below v, and column v read downwards from row v holds those above v, so
+    each row is two slices and one int(), with no step per edge.  The square
+    takes twice the memory of the bit string.  The header, length, byte
+    range and padding are checked; the rows are symmetric and loop-free by
+    construction, so the graph is built unchecked.
     """
     line = text.strip()
     if line.startswith(">>graph6<<"):
@@ -321,18 +387,13 @@ def parse_graph6(text: str) -> Graph:
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")[:6 * len(body)]
     if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits in graph6 body")
-    adj = [0] * n
-    start = 0
+    bits = bits.encode("ascii")
+    square = bytearray(b"0") * (n * n)
     for j in range(1, n):
-        below = int(bits[start:start + j][::-1], 2)
-        start += j
-        adj[j] |= below
-        bit = 1 << j
-        while below:
-            low = below & -below
-            adj[low.bit_length() - 1] |= bit
-            below ^= low
-    return Graph(n, tuple(adj))
+        square[j * n:j * n + j] = bits[j * (j - 1) // 2:j * (j + 1) // 2]
+    adj = tuple(int((square[v * n:v * n + v] + square[v * n + v::n])[::-1], 2)
+                for v in range(n))
+    return Graph._built(n, adj)
 
 
 def encode_graph6(g: Graph) -> str:
@@ -391,7 +452,7 @@ def hypercube_graph(n: int) -> Graph:
     for v in range(size):
         for b in range(n):
             adj[v] |= 1 << (v ^ (1 << b))
-    return Graph(size, tuple(adj))
+    return Graph._built(size, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,13 @@ __all__ = ["parse_cayley_spec", "load_input"]
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}, expected comma-separated integers") from None
+    """The comma-separated integers of a spec, each read by the rule _INTEGER
+    of the edge-list format; int() alone would also take '+3', '1_0', ' 3'
+    and non-ASCII digits."""
+    tokens = [tok for tok in text.split(",") if tok != ""]
+    if not all(map(_INTEGER.fullmatch, tokens)):
+        raise ParseError(f"bad {what} {text!r}, expected comma-separated integers")
+    return [int(tok) for tok in tokens]
 
 
 def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:

@@ -68,7 +68,7 @@ def enumerate_labeled_graphs(n: int):
             if mask >> i & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-        yield Graph(n, tuple(adj))
+        yield Graph._built(n, tuple(adj))
 
 
 @lru_cache(maxsize=8)

@@ -193,6 +193,16 @@ OVERSIZE_SPECS = ("cube:64", "complete:100000000000000000000", "complete:3000",
                   "cayley:z:1024,1024;gens=(1,0),(1023,0),(0,1),(0,1023)")
 
 
+@pytest.mark.parametrize("spec", ["path:1_0", "path:+3", "cycle:\u0665"])  # Arabic-Indic 5
+def test_family_spec_integers_follow_the_file_rule(spec, capsys):
+    # an integer is ASCII digits with an optional '-' in specs as in files;
+    # int() alone would build a 10-vertex path, a 3-vertex path and a 5-cycle
+    with pytest.raises(ParseError, match="expected comma-separated integers"):
+        inputs.load_input(spec)
+    assert cli.main(["compute", spec]) == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+
+
 def test_oversize_family_specs_exit_3():
     for spec in OVERSIZE_SPECS[:3]:
         proc = run_cli("compute", spec)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import graphdim.core as core
+from graphdim.cayley import AbelianGroup, GeneratorSet, cayley_graph
 from graphdim.core import (
     Graph,
     bits_of,
@@ -28,6 +31,7 @@ from graphdim.core import (
 from graphdim.dimension import subdim, subdim_naive
 from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input, parse_cayley_spec
+from graphdim.verify import enumerate_labeled_graphs
 
 from helpers import random_graph
 
@@ -54,6 +58,37 @@ def test_graph_rejects_out_of_range():
             Graph(2, (row, 0))
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("n,rows,message", [
+    (2, (0b10, 0), "asymmetric edge 0-1"),
+    (1, (0b1,), "self-loop at vertex 0"),
+    (2, (0b100, 0), "adjacency row of 0 mentions vertices >= 2"),
+    (2, (0,), "adjacency has 1 rows for n=2"),
+    (-1, (), "vertex count must be >= 0, got -1"),
+])
+def test_public_constructor_refuses_with_its_messages(n, rows, message):
+    with pytest.raises(DomainError) as err:
+        Graph(n, rows)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(2, (1.0, 0)), "adjacency row of 0 must be an integer, got 1.0"),
+    (lambda: Graph(2.0, (0, 0)), "vertex count must be an integer, got 2.0"),
+    (lambda: Graph(2, None), "adjacency must be a sequence of rows, got None"),
+    (lambda: Graph.from_edges(3, [(0, 1.0)]), "edge endpoint must be an integer, got 1.0"),
+    (lambda: Graph.from_edges(2.5, []), "vertex count must be an integer, got 2.5"),
+    (lambda: Graph.from_edges(-1, []), "vertex count must be >= 0, got -1"),
+    (lambda: Graph.from_edges(3, [(0, 1, 2)]), "an edge is a pair of vertices, got (0, 1, 2)"),
+    (lambda: Graph.from_edges(3, [5]), "an edge is a pair of vertices, got 5"),
+    (lambda: Graph.from_edges(3, None), "edges must be an iterable of pairs, got None"),
+], ids=["float-row", "float-n", "no-rows", "float-endpoint", "float-n-edges",
+        "negative-n-edges", "triple", "bare-vertex", "no-edges"])
+def test_malformed_construction_raises_domain_error(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_graph_keeps_a_tuple_of_rows():
@@ -172,6 +207,9 @@ def test_parse_edge_list_duplicates_tolerated():
     ("3\n\n0 +2", "line 3: non-integer endpoint in '0 +2'"),
     ("\u0663\n0 2", "line 1: bad vertex count '\u0663'"),  # Arabic-Indic 3
     ("3\n\n0 \u0662", "line 3: non-integer endpoint in '0 \u0662'"),
+    # the rows are allocated at the count line, so a count past any index
+    # size is refused there, as a ParseError
+    ("99999999999999999999\n0 x", "line 1: vertex count 99999999999999999999 too large"),
 ])
 def test_parse_edge_list_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -190,6 +228,17 @@ def test_edge_list_round_trip():
     for _ in range(40):
         g = random_graph(rng, rng.randint(0, 12))
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_large_sparse_edge_list_round_trip():
+    # long rows with few bits: a path, a cycle and a graph whose only edge
+    # joins the first and last vertex
+    n = 3000
+    for g in (path_graph(n), cycle_graph(n), Graph.from_edges(n, [(0, n - 1)])):
+        plain = "".join(f"{u} {v}\n" for u, v in g.edges())
+        text = format_edge_list(g)
+        assert text == f"{n}\n" + plain
+        assert parse_edge_list(text) == g
 
 
 def test_graph6_decode_k2():
@@ -263,6 +312,45 @@ def test_graph6_follows_the_pair_order_of_the_format():
     assert _graph6_reference(complete_graph(2)) == "A_"
 
 
+# sha256 of the JSON list, over seeded G(n, p) for n = 0, 1, 2, 50, 75, 100,
+# 150, 200, 300 and p = 0.05, 0.5, of each graph's graph6 text, its edge-list
+# text, and the rows parsed back from each
+_IO_DIGEST = "d2ad4542410135c208e90a0f1204b515dab8a8a4432f0aeb407f83b0878495d8"
+
+
+def test_io_texts_pinned():
+    rng = random.Random(21)
+    out = []
+    for n in (0, 1, 2, 50, 75, 100, 150, 200, 300):
+        for p in (0.05, 0.5):
+            g = random_graph(rng, n, p)
+            text6, text_edges = encode_graph6(g), format_edge_list(g)
+            out.append([text6, text_edges,
+                        list(parse_graph6(text6).adj), list(parse_edge_list(text_edges).adj)])
+    text = json.dumps(out)
+    assert hashlib.sha256(text.encode()).hexdigest() == _IO_DIGEST
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty graph6 input"),
+    ("~~~~~~", "graph6 inputs beyond n=258047 are not supported"),
+    ("~??", "truncated graph6 size header"),
+    ("~?\x7f?", "bad graph6 size header byte"),
+    ("\x7f", "bad graph6 header byte 127"),
+    ("A\u00c8", "graph6 input is not ASCII"),
+    ("A", "graph6 body has 0 bytes, expected 1 for n=2"),
+    ("D?{{", "graph6 body has 3 bytes, expected 2 for n=5"),
+    ("B>", "graph6 body byte 62 out of range"),
+    ("D?\x7f", "graph6 body byte 127 out of range"),
+    ("A`", "nonzero padding bits in graph6 body"),
+    ("B@", "nonzero padding bits in graph6 body"),
+])
+def test_graph6_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph6(text)
+    assert str(err.value) == message and err.value.line is None
+
+
 _PROPERTY = settings(derandomize=True, database=None)
 
 
@@ -281,6 +369,64 @@ def _graphs(draw, max_n=70, min_n=0):
 @example(complete_graph(63))  # the first four-byte size header
 def test_graph6_round_trip_property(g):
     assert parse_graph6(encode_graph6(g)) == g
+
+
+def _graph6_plain_decode(text):
+    """Rows of a graph6 text read bit by bit, as the format describes them."""
+    data = [ord(c) - 63 for c in text]
+    if data[0] == 63:
+        n, body = data[1] << 12 | data[2] << 6 | data[3], data[4:]
+    else:
+        n, body = data[0], data[1:]
+    bits = [x >> k & 1 for x in body for k in range(5, -1, -1)]
+    adj = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            pos += 1
+    return tuple(adj)
+
+
+@_PROPERTY
+@given(_graphs())
+@example(complete_graph(62))  # the last one-byte size header
+@example(complete_graph(63))  # the first four-byte size header
+def test_graph6_decode_matches_a_plain_decode(g):
+    text = _graph6_reference(g)
+    assert parse_graph6(text).adj == _graph6_plain_decode(text) == g.adj
+
+
+@st.composite
+def _cayley_inputs(draw):
+    grp = AbelianGroup(tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))))
+    picks = draw(st.sets(st.integers(1, max(grp.size - 1, 1)), max_size=4))
+    elements = {x % grp.size for x in picks} - {0}
+    return grp, GeneratorSet(elements | {grp.neg(x) for x in elements})
+
+
+def _passes_public_check(g):
+    return Graph(g.n, g.adj) == g
+
+
+@_PROPERTY
+@given(_graphs(), st.integers(0, 2**70), _cayley_inputs())
+def test_unchecked_builders_pass_the_public_check(g, subset, cayley_input):
+    # each builder that skips the check of Graph(n, adj) makes rows it would accept
+    assert _passes_public_check(g)  # from_edges
+    assert _passes_public_check(parse_graph6(encode_graph6(g)))
+    assert _passes_public_check(parse_edge_list(format_edge_list(g)))
+    assert _passes_public_check(induced_subgraph(g, subset & g.vertex_mask))
+    assert _passes_public_check(cayley_graph(*cayley_input))
+
+
+def test_unchecked_families_pass_the_public_check():
+    for k in range(1, 7):
+        assert _passes_public_check(hypercube_graph(k))
+    for n in range(5):
+        assert all(map(_passes_public_check, enumerate_labeled_graphs(n)))
 
 
 def _sized_graph6(n):
