@@ -122,13 +122,9 @@ class Graph:
             if row >> v & 1:
                 raise DomainError(f"self-loop at vertex {v}")
         for v, row in enumerate(adj):
-            rest = row
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
+            for u in bits_of(row):
                 if not adj[u] >> v & 1:
                     raise DomainError(f"asymmetric edge {v}-{u}")
-                rest ^= low
 
     @classmethod
     def _built(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -178,16 +174,13 @@ class Graph:
 
     def edges(self):
         """Yield edges as (u, v) with u < v, ascending."""
-        for v in range(self.n):
-            rest = self.adj[v] >> (v + 1) << (v + 1)
-            while rest:
-                low = rest & -rest
-                yield v, low.bit_length() - 1
-                rest ^= low
+        for v, row in enumerate(self.adj):
+            for u in bits_of(row >> (v + 1) << (v + 1)):
+                yield v, u
 
 
 def _check_subset(g: Graph, subset: int) -> None:
-    if subset & ~g.vertex_mask:
+    if _integer(subset, "vertex set") & ~g.vertex_mask:
         raise DomainError("vertex set mentions vertices outside the graph")
 
 
@@ -215,16 +208,8 @@ def induced_subgraph(g: Graph, subset: int) -> Graph:
     _check_subset(g, subset)
     members = bits_of(subset)
     index = {v: i for i, v in enumerate(members)}
-    adj = []
-    for v in members:
-        row = 0
-        rest = g.adj[v] & subset
-        while rest:
-            low = rest & -rest
-            row |= 1 << index[low.bit_length() - 1]
-            rest ^= low
-        adj.append(row)
-    return Graph._built(len(members), tuple(adj))
+    adj = tuple(sum(1 << index[u] for u in bits_of(g.adj[v] & subset)) for v in members)
+    return Graph._built(len(members), adj)
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -419,18 +404,21 @@ def encode_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def path_graph(n: int) -> Graph:
+    n = _integer(n, "vertex count")
     if n < 1:
         raise DomainError(f"path needs n >= 1, got {n}")
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _integer(n, "vertex count")
     if n < 3:
         raise DomainError(f"cycle needs n >= 3, got {n}")
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
+    n = _integer(n, "vertex count")
     if n < 1:
         raise DomainError(f"complete graph needs n >= 1, got {n}")
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
@@ -438,6 +426,7 @@ def complete_graph(n: int) -> Graph:
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
     """Sides {0..m-1} and {m..m+n-1}."""
+    m, n = _integer(m, "side size"), _integer(n, "side size")
     if m < 1 or n < 1:
         raise DomainError(f"complete bipartite graph needs m, n >= 1, got {m}, {n}")
     return Graph.from_edges(m + n, ((a, m + b) for a in range(m) for b in range(n)))
@@ -445,6 +434,7 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
 
 def hypercube_graph(n: int) -> Graph:
     """n-dimensional hypercube; vertex id encodes the 0/1 tuple in binary."""
+    n = _integer(n, "hypercube dimension")
     if n < 1:
         raise DomainError(f"hypercube needs n >= 1, got {n}")
     size = 1 << n

@@ -183,6 +183,7 @@ def subdim(g: Graph, subset: int) -> SubdimCertificate:
     the linear scan beats binary search in practice.  Uncapped by design,
     like subdim_exists, whose docstring says who checks the cap.
     """
+    _check_subset(g, subset)
     if subset == 0:
         raise DomainError("sub-dimension of an empty host is undefined")
     m = subset.bit_count()

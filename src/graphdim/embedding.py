@@ -17,7 +17,7 @@ from math import gcd
 from operator import methodcaller
 
 from .coloring import Coloring, is_proper
-from .core import Graph
+from .core import Graph, bits_of
 from .errors import DomainError
 
 __all__ = [
@@ -160,16 +160,13 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
             near = shared[supports[u]]
             if row & ~(near | partners[norm_of[u]]):
                 return False
-            rest = (row & near) >> (u + 1)  # each edge with a shared coordinate once
             p = points[u]
-            while rest:
-                low = rest & -rest
-                v = u + low.bit_length()
+            # each edge with a shared coordinate once, from its lower end
+            for v in bits_of((row & near) >> (u + 1) << (u + 1)):
                 q = points[v]
                 dot = sum(p[i] * q[i] for i in supports[u] if q[i])
                 if Fraction(*norms[norm_of[u]]) + Fraction(*norms[norm_of[v]]) - 2 * dot != 1:
                     return False
-                rest ^= low
         return True
 
     return EmbeddingReport(ambient_dim=d, edges_ok=edges_ok(),

@@ -105,41 +105,41 @@ _FAMILIES = {
 # a file's first non-blank line must end within this many bytes: more than
 # any vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
 _HEAD = 64
-# bytes read at a time while the file is blank so far; only the count of
-# line breaks in a blank prefix is kept
+# bytes read at a time until the header is read; of a blank prefix only the
+# count of its line breaks is kept
 _BLANK_BLOCK = 1 << 16
 # the ASCII characters str.splitlines ends a line at ("\r\n" ends one line)
 _ASCII_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _read_file(path: str, cap: int | None) -> Graph:
-    """Read and parse a graph file through one handle.  The vertex count its
-    header declares is checked against the cap once the first non-blank line
-    has ended, or _HEAD bytes of it are read, before any work or memory that
-    grows with the file."""
+    """Read and parse a graph file through one handle.
+
+    One loop reads _BLANK_BLOCK bytes at a time until the first non-blank
+    line has ended, has run _HEAD bytes, or the file has ended.  A blank
+    prefix is dropped as it is read and only its line breaks are counted,
+    so parse errors keep their line numbers.  At most one block past the
+    header's start is read before the vertex count it declares is checked
+    against the cap, before any work or memory that grows with the file."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
     with open(path, "rb") as fh:
         raw = bytearray()
         skipped = 0  # line breaks, as splitlines counts them, of a blank prefix not in raw
-        while True:  # until the file is not blank so far, or EOF
+        while True:  # until the first non-blank line has ended, runs _HEAD bytes, or EOF
             block = fh.read(_BLANK_BLOCK)
             raw += block
             prefix = raw.decode("ascii", "surrogateescape")
             head = prefix.lstrip()
-            if head or not block:
+            if not block or "\n" in head or len(head) >= _HEAD:
                 break
-            # all blank, so ASCII: drop all but a last "\r", which may start "\r\n"
-            blank = prefix.removesuffix("\r")
-            skipped += sum(map(blank.count, _ASCII_BREAKS))
-            if "\r" in blank:  # a "\r\n" pair ends one line, not two
-                skipped -= blank.count("\r\n")
-            del raw[:len(blank)]
-        while block and "\n" not in head and len(head) < _HEAD:  # the first line runs on
-            block = fh.read(_HEAD)
-            raw += block
-            head += block.decode("ascii", "surrogateescape")
+            if not head:  # all blank, so ASCII: drop all but a last "\r", which may start "\r\n"
+                blank = prefix.removesuffix("\r")
+                skipped += sum(map(blank.count, _ASCII_BREAKS))
+                if "\r" in blank:  # a "\r\n" pair ends one line, not two
+                    skipped -= blank.count("\r\n")
+                del raw[:len(blank)]
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")

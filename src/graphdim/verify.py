@@ -35,7 +35,7 @@ from .coloring import (
     decomposition_round_bound,
     is_proper,
 )
-from .core import Graph, bits_of, encode_graph6, hypercube_graph, max_degree_within
+from .core import Graph, _integer, bits_of, encode_graph6, hypercube_graph, max_degree_within
 from .dimension import _dim_search, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
@@ -57,6 +57,7 @@ def enumerate_labeled_graphs(n: int):
     exactly the edges whose rank bits are set in i, so enumeration order is
     deterministic and dense in i.
     """
+    n = _integer(n, "vertex count")
     if n > _SWEEP_LIMIT:
         raise CapExceeded(f"labeled enumeration supports n <= {_SWEEP_LIMIT}, got {n}")
     if n < 0:
@@ -85,7 +86,7 @@ def _sweep_stats(n: int) -> list[tuple]:
 def _sweep(cap: int | None):
     """The checked sweep size max_n (None means the largest) and an iterator
     over the _sweep_stats records for n = 1..max_n; checks before any work."""
-    max_n = _SWEEP_LIMIT if cap is None else cap
+    max_n = _SWEEP_LIMIT if cap is None else _integer(cap, "verify sweep size")
     if max_n > _SWEEP_LIMIT:
         raise CapExceeded(f"verify sweep size must be <= {_SWEEP_LIMIT}, got {max_n}")
     if max_n < 1:

@@ -1,0 +1,72 @@
+"""The public API is declared once: in each layer module's __all__."""
+
+import ast
+import importlib
+import inspect
+import json
+import subprocess
+import sys
+import types
+
+import graphdim
+
+from helpers import subprocess_env
+
+_LAYERS = ("cayley", "coloring", "core", "dimension", "embedding", "verify")
+
+# the public namespace of a fresh `import graphdim`, submodules included, as
+# recorded before __init__ re-exported the layers' __all__ lists
+_PUBLIC = [
+    "AbelianGroup", "CapExceeded", "Coloring", "DEFAULT_CAP", "DecompositionRound",
+    "DimCertificate", "DomainError", "Embedding", "EmbeddingReport", "GeneratorSet",
+    "Graph", "ParseError", "SUITE_NAMES", "SubdimCertificate", "bits_of", "cayley",
+    "cayley_graph", "ceil_log2", "chromatic_bound_from_dim", "chromatic_number",
+    "chromatic_number_within", "coloring", "complete_bipartite_graph", "complete_graph",
+    "core", "critical_subgraph", "cycle_graph", "decomposition_coloring",
+    "decomposition_round_bound", "dim_exact", "dim_via_transitivity", "dimension",
+    "embedding", "encode_graph6", "enumerate_labeled_graphs", "errors", "format_edge_list",
+    "format_embedding", "greedy_coloring", "hypercube_graph", "induced_subgraph", "inputs",
+    "is_proper", "limits", "mask_of", "max_degree_within", "parse_edge_list", "parse_graph6",
+    "path_graph", "relabel", "resolve_cap", "run_all", "run_suite", "subdim", "subdim_exists",
+    "subdim_naive", "subsets_of_mask", "subsets_of_size", "translate", "unit_distance_embed",
+    "verify", "verify_embedding",
+]
+
+
+def _layer(name):
+    return importlib.import_module(f"graphdim.{name}")
+
+
+def _top_level_definitions(module):
+    """Names a module binds by def, class or assignment, not by import."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_each_all_names_only_what_its_module_defines():
+    for name in _LAYERS:
+        module = _layer(name)
+        assert set(module.__all__) <= _top_level_definitions(module), name
+
+
+def test_package_exports_the_layers_lists_and_the_error_and_cap_names():
+    exported = {name for layer in _LAYERS for name in _layer(layer).__all__}
+    exported |= {"CapExceeded", "DomainError", "ParseError", "DEFAULT_CAP", "resolve_cap"}
+    public = {name for name, obj in vars(graphdim).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public == exported
+
+
+def test_public_namespace_is_unchanged():
+    # in a fresh interpreter: importing graphdim.cli, say, would add "cli"
+    probe = ("import json, graphdim; "
+             "print(json.dumps(sorted(k for k in vars(graphdim) if not k.startswith('_'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=subprocess_env(), check=True)
+    assert json.loads(proc.stdout) == _PUBLIC

@@ -126,6 +126,26 @@ def test_blank_prefix_is_skipped_in_blocks(tmp_path):
         inputs.load_input(str(path), None)
 
 
+_BLOCK = inputs._BLANK_BLOCK
+
+
+@pytest.mark.parametrize("text,error,message", [
+    # the count line straddles the end of the first block
+    ("\n" * (_BLOCK - 3) + "3000000", CapExceeded, "n=3000000"),
+    # the first block ends in a lone "\r" whose "\n" opens the next block
+    ((" \r\n" * (_BLOCK // 3)).ljust(_BLOCK - 1) + "\r\n3000000", CapExceeded, "n=3000000"),
+    ("\n" * (_BLOCK - 3) + "3\n0 1\n0 9\n", ParseError,
+     "line 65536: endpoint out of range in edge 0-9 \\(n=3\\)"),
+    (" " * (_BLOCK - 2) + "\r\n3\n0 9\n", ParseError,
+     "line 3: endpoint out of range in edge 0-9 \\(n=3\\)"),
+], ids=["count-straddles", "lone-cr-at-the-end", "edge-on-line-65536", "crlf-at-the-end"])
+def test_header_read_at_the_block_boundary(tmp_path, text, error, message):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(error, match=message):
+        inputs.load_input(str(path), None)
+
+
 @pytest.mark.parametrize("count,byte", [("+3", 43), ("1_0", 49)])
 def test_a_file_in_neither_format_names_both(tmp_path, count, byte):
     path = tmp_path / "g.txt"
@@ -201,6 +221,14 @@ def test_family_spec_integers_follow_the_file_rule(spec, capsys):
         inputs.load_input(spec)
     assert cli.main(["compute", spec]) == 2
     assert "expected comma-separated integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1_6", "+16", "\u0661\u0666", " 16 ", "abc"])
+def test_cap_variable_follows_the_integer_rule(value, monkeypatch, capsys):
+    # int() took the first four as 16; "abc" exited 3 as if a cap were exceeded
+    monkeypatch.setenv("GRAPHDIM_CAP", value)
+    assert cli.main(["compute", "path:3"]) == 2
+    assert f"GRAPHDIM_CAP must be an integer, got {value!r}" in capsys.readouterr().err
 
 
 def test_oversize_family_specs_exit_3():

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import graphdim
 import graphdim.core as core
 from graphdim.cayley import AbelianGroup, GeneratorSet, cayley_graph
 from graphdim.core import (
@@ -88,6 +89,37 @@ def test_public_constructor_refuses_with_its_messages(n, rows, message):
 def test_malformed_construction_raises_domain_error(build, message):
     with pytest.raises(DomainError) as err:
         build()
+    assert str(err.value) == message
+
+
+_P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: graphdim.complete_graph(2.5), "vertex count must be an integer, got 2.5"),
+    (lambda: graphdim.path_graph(2.5), "vertex count must be an integer, got 2.5"),
+    (lambda: graphdim.cycle_graph(4.0), "vertex count must be an integer, got 4.0"),
+    (lambda: graphdim.complete_bipartite_graph(2.5, 2),
+     "side size must be an integer, got 2.5"),
+    (lambda: graphdim.hypercube_graph(2.0), "hypercube dimension must be an integer, got 2.0"),
+    (lambda: next(enumerate_labeled_graphs(2.5)), "vertex count must be an integer, got 2.5"),
+    (lambda: graphdim.cycle_graph(2), "cycle needs n >= 3, got 2"),
+    (lambda: graphdim.hypercube_graph(0), "hypercube needs n >= 1, got 0"),
+    (lambda: graphdim.max_degree_within(_P4, 1.5), "vertex set must be an integer, got 1.5"),
+    (lambda: graphdim.induced_subgraph(_P4, 1.5), "vertex set must be an integer, got 1.5"),
+    (lambda: subdim(_P4, 1.5), "vertex set must be an integer, got 1.5"),
+    (lambda: graphdim.dim_exact(_P4, cap="16"), "cap must be an integer, got '16'"),
+    (lambda: load_input("path:3", cap="9"), "cap must be an integer, got '9'"),
+    (lambda: graphdim.critical_subgraph(_P4, cap="9"), "cap must be an integer, got '9'"),
+    (lambda: graphdim.critical_subgraph(_P4, cap=2.5), "cap must be an integer, got 2.5"),
+    (lambda: graphdim.run_suite("theorem2", 2.5),
+     "verify sweep size must be an integer, got 2.5"),
+], ids=["complete", "path", "cycle", "kbip", "cube", "labeled", "cycle-small", "cube-small",
+        "max-degree-set", "induced-set", "subdim-set", "dim-cap", "load-cap", "critical-cap",
+        "float-cap", "sweep-size"])
+def test_non_integer_sizes_sets_and_caps_raise_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
     assert str(err.value) == message
 
 
