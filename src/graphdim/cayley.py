@@ -64,6 +64,7 @@ class AbelianGroup:
         return eid
 
     def decode(self, eid: int) -> tuple[int, ...]:
+        eid = _integer(eid, "element id")
         if not 0 <= eid < self.size:
             raise DomainError(f"element id {eid} out of range for group of size {self.size}")
         out = []
@@ -111,6 +112,7 @@ def translate(grp: AbelianGroup, subset: int, a: int) -> int:
     """Image of a vertex set under addition of the group element a: a digit d
     in a coordinate of order n and stride t rotates every block of t*n ids up
     by d*t, two masked shifts whose low mask repeats (1 << (n-d)*t) - 1."""
+    subset = _integer(subset, "vertex set")
     if subset >> grp.size:
         raise DomainError("vertex set mentions ids outside the group")
     full = (1 << grp.size) - 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, _check_subset, _permutation, bits_of, ceil_log2
+from .core import Graph, _check_subset, _integer, _permutation, bits_of, ceil_log2
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -241,6 +241,7 @@ def _decompose(g: Graph, full: SubdimCertificate
 
 def decomposition_round_bound(n: int) -> int:
     """Upper bound on decomposition rounds: max(1, ceil(log2 n))."""
+    n = _integer(n, "vertex count")
     if n < 1:
         raise DomainError("round bound needs n >= 1")
     return max(1, ceil_log2(n))
@@ -248,4 +249,4 @@ def decomposition_round_bound(n: int) -> int:
 
 def chromatic_bound_from_dim(dim_value: int, n: int) -> int:
     """The guaranteed palette bound (dim + 1) * max(1, ceil(log2 n))."""
-    return (dim_value + 1) * decomposition_round_bound(n)
+    return (_integer(dim_value, "dim value") + 1) * decomposition_round_bound(n)

@@ -57,6 +57,7 @@ def _permutation(perm, n: int, what: str) -> list[int]:
 
 def bits_of(mask: int) -> list[int]:
     """Vertex ids in a bitset, ascending."""
+    mask = _integer(mask, "vertex set")
     if mask < 0:
         raise DomainError(f"a vertex set is a nonnegative bitset, got {mask}")
     out = []
@@ -71,6 +72,7 @@ def mask_of(vertices) -> int:
     """Bitset from an iterable of vertex ids."""
     m = 0
     for v in vertices:
+        v = _integer(v, "vertex id")
         if v < 0:
             raise DomainError(f"vertex ids are nonnegative, got {v}")
         m |= 1 << v
@@ -79,6 +81,7 @@ def mask_of(vertices) -> int:
 
 def ceil_log2(n: int) -> int:
     """Smallest k with 2**k >= n, for n >= 1."""
+    n = _integer(n, "ceil_log2 argument")
     if n < 1:
         raise DomainError(f"ceil_log2 needs n >= 1, got {n}")
     return (n - 1).bit_length()
@@ -456,6 +459,7 @@ def subsets_of_size(n: int, s: int):
     popcount.  The numeric order is the package-wide canonical subset order;
     tie-breaks elsewhere mean "smallest mask in this order".
     """
+    n, s = _integer(n, "set size"), _integer(s, "subset size")
     if s < 0 or s > n:
         raise DomainError(f"subset size {s} out of range for n={n}")
     if s == 0:
@@ -474,6 +478,7 @@ def subsets_of_mask(mask: int, s: int):
     """All size-s subsets of an arbitrary bitset, in increasing numeric order."""
     members = bits_of(mask)
     k = len(members)
+    s = _integer(s, "subset size")
     if s < 0 or s > k:
         raise DomainError(f"subset size {s} out of range for a {k}-element set")
     if mask == (1 << k) - 1:  # contiguous: no index translation needed

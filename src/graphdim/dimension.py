@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, _check_subset, _induced_max_degree, subsets_of_mask, subsets_of_size
+from .core import (Graph, _check_subset, _induced_max_degree, _integer, subsets_of_mask,
+                   subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -109,6 +110,7 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     check the cap before they call either, and a direct caller owns that check.
     """
     _check_subset(g, subset)
+    s, d = _integer(s, "target size"), _integer(d, "degree bound")
     k = subset.bit_count()
     if s < 0 or s > k:
         raise DomainError(f"target size {s} out of range for a {k}-element host")

@@ -13,9 +13,9 @@ Cayley generators are element tuples like (1,0),(0,1); for a single cyclic
 factor bare residues are accepted (gens=1,4).  The generator set is taken
 literally and must already be closed under negation.
 
-Files ending in .g6 are read as graph6; otherwise a file whose first
-non-blank line is a lone integer is read as an edge list, and any other as
-graph6 (if that line is no graph6 header either, the error names both).
+A file's first non-blank line alone picks its format, whatever its name:
+a lone integer means an edge list, any other line graph6 (if that line is
+no graph6 header either, the error names both).
 ``load_input`` checks the cap before any work or memory that grows with the
 input: a family spec by its parameters (cube:N by its exponent), a file by
 the vertex count in its header (that integer, or the graph6 size bytes); a
@@ -108,8 +108,6 @@ _HEAD = 64
 # bytes read at a time until the header is read; of a blank prefix only the
 # count of its line breaks is kept
 _BLANK_BLOCK = 1 << 16
-# the ASCII characters str.splitlines ends a line at ("\r\n" ends one line)
-_ASCII_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _read_file(path: str, cap: int | None) -> Graph:
@@ -118,9 +116,12 @@ def _read_file(path: str, cap: int | None) -> Graph:
     One loop reads _BLANK_BLOCK bytes at a time until the first non-blank
     line has ended, has run _HEAD bytes, or the file has ended.  A blank
     prefix is dropped as it is read and only its line breaks are counted,
-    so parse errors keep their line numbers.  At most one block past the
-    header's start is read before the vertex count it declares is checked
-    against the cap, before any work or memory that grows with the file."""
+    by str.splitlines as parse_edge_list counts them, so parse errors keep
+    their line numbers.  That line alone picks the format, not the file's
+    name: graph6 bytes are 63..126, so no graph6 line is an integer.  At
+    most one block past the header's start is read before the vertex count
+    it declares is checked against the cap, before any work or memory that
+    grows with the file."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
@@ -136,14 +137,12 @@ def _read_file(path: str, cap: int | None) -> Graph:
                 break
             if not head:  # all blank, so ASCII: drop all but a last "\r", which may start "\r\n"
                 blank = prefix.removesuffix("\r")
-                skipped += sum(map(blank.count, _ASCII_BREAKS))
-                if "\r" in blank:  # a "\r\n" pair ends one line, not two
-                    skipped -= blank.count("\r\n")
+                skipped += len((blank + ".").splitlines()) - 1
                 del raw[:len(blank)]
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")
-        if not path.endswith(".g6") and _INTEGER.fullmatch(first):
+        if _INTEGER.fullmatch(first):
             if len(first) >= _HEAD:
                 raise CapExceeded(
                     f"{path}: its vertex count line does not end within {_HEAD} bytes")
@@ -152,8 +151,6 @@ def _read_file(path: str, cap: int | None) -> Graph:
             try:
                 n = _g6_header(first.removeprefix(">>graph6<<")[:4].encode("ascii"))[0]
             except ParseError as exc:
-                if path.endswith(".g6"):
-                    raise
                 raise ParseError(f"{path} is neither an edge list nor graph6 ({exc})") from None
             parse = parse_graph6
         require_within_cap(n, cap, "load_input")

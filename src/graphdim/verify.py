@@ -1,8 +1,9 @@
 """Batch verification sweeps.
 
 Each suite checks one guaranteed relationship on a fixed population of
-graphs and reports every instance with a pass/fail flag, so a run is a
-self-contained audit trail.  The exhaustive sweeps walk every labeled
+graphs and returns its parameters and every instance with a pass/fail
+flag; run_suite names the report by the suite's _SUITES key, so a run is
+a self-contained audit trail.  The exhaustive sweeps walk every labeled
 graph on up to six vertices; redundancy across isomorphic graphs is
 deliberate, since it needs no canonization and each instance stays
 independently replayable.  The sweep suites share one cached sweep that
@@ -94,11 +95,6 @@ def _sweep(cap: int | None):
     return max_n, itertools.chain.from_iterable(map(_sweep_stats, range(1, max_n + 1)))
 
 
-def _ceil_sqrt(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def _suite_report(name: str, parameters: dict, instances: list[dict]) -> dict:
     failures = sum(1 for inst in instances if not inst["ok"])
     return {
@@ -125,7 +121,7 @@ _FAMILY_CASES = (
 )
 
 
-def suite_examples(cap: int | None = None) -> dict:
+def suite_examples(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Closed-form dimension values of the basic families."""
     instances = []
 
@@ -139,18 +135,18 @@ def suite_examples(cap: int | None = None) -> dict:
         if want_subdim is not None:
             check(spec, "subdim", full.value, want_subdim)
         check(spec, "dim", _dim_search(g, full).value, want_dim)
-    return _suite_report("examples", {}, instances)
+    return {}, instances
 
 
-def suite_theorem1(cap: int | None = None) -> dict:
+def suite_theorem1(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Hypercube dimension: ceil(sqrt(n)), exactly for n <= 3, and via the
     translation shortcut plus a searched half-witness for n = 4."""
     instances = []
     for n in (1, 2, 3):
         g = hypercube_graph(n)
-        got = dim_exact(g, cap=g.n).value
+        got, want = dim_exact(g, cap=g.n).value, math.isqrt(n - 1) + 1
         instances.append({"case": f"cube:{n}", "metric": "dim_exact",
-                          "got": got, "want": _ceil_sqrt(n), "ok": got == _ceil_sqrt(n)})
+                          "got": got, "want": want, "ok": got == want})
     grp = AbelianGroup((2,) * 4)
     gens = GeneratorSet({1 << i for i in range(4)})
     cert = dim_via_transitivity(grp, gens, cap=grp.size)
@@ -164,7 +160,7 @@ def suite_theorem1(cap: int | None = None) -> dict:
                       "got": size, "want": 9, "ok": size == 9})
     instances.append({"case": "cube:4", "metric": "half_witness_delta",
                       "got": delta, "want": 2, "ok": delta == 2})
-    return _suite_report("theorem1", {}, instances)
+    return {}, instances
 
 
 def _prop1_cases() -> list[str]:
@@ -177,7 +173,7 @@ def _prop1_cases() -> list[str]:
     return cases
 
 
-def suite_prop1(cap: int | None = None) -> dict:
+def suite_prop1(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Translation shortcut agrees with the exhaustive solver on Cayley graphs."""
     instances = []
     for case in _prop1_cases():
@@ -186,10 +182,10 @@ def suite_prop1(cap: int | None = None) -> dict:
         exhaustive = dim_exact(cayley_graph(grp, gens), cap=grp.size).value
         instances.append({"case": case, "metric": "dim", "got": shortcut,
                           "want": exhaustive, "ok": shortcut == exhaustive})
-    return _suite_report("prop1", {}, instances)
+    return {}, instances
 
 
-def suite_theorem2(cap: int | None = None) -> dict:
+def suite_theorem2(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Chromatic bound chi <= (dim + 1) * max(1, ceil(log2 n)) on every
     labeled graph up to the sweep cap, with the decomposition coloring
     meeting the same palette bound in at most max(1, ceil(log2 n)) rounds."""
@@ -205,10 +201,10 @@ def suite_theorem2(cap: int | None = None) -> dict:
         instances.append({"case": g6, "chi": chi, "dim": dim_value,
                           "bound": bound, "palette": col.palette_size,
                           "rounds": len(rounds), "ok": ok})
-    return _suite_report("theorem2", {"max_n": max_n}, instances)
+    return {"max_n": max_n}, instances
 
 
-def suite_lemma2(cap: int | None = None) -> dict:
+def suite_lemma2(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Critical subgraphs keep the chromatic number and have min degree
     at least chi - 1, on every labeled graph up to the sweep cap."""
     max_n, records = _sweep(cap)
@@ -223,10 +219,10 @@ def suite_lemma2(cap: int | None = None) -> dict:
                           "chi_preserved": preserved,
                           "min_degree_ok": degrees_ok,
                           "ok": preserved and degrees_ok})
-    return _suite_report("lemma2", {"max_n": max_n}, instances)
+    return {"max_n": max_n}, instances
 
 
-def suite_corollary1(cap: int | None = None) -> dict:
+def suite_corollary1(cap: int | None = None) -> tuple[dict, list[dict]]:
     """2*chi never exceeds 2*(dim+1)*max(1, ceil(log2 n)) on the sweep, and
     sampled graphs get their coloring-based embedding built and verified."""
     max_n, records = _sweep(cap)
@@ -242,10 +238,10 @@ def suite_corollary1(cap: int | None = None) -> dict:
             instances.append({"case": g6, "ambient": report.ambient_dim,
                               "want_ambient": 2 * chi,
                               "ok": report.ok and report.ambient_dim == 2 * chi})
-    return _suite_report("corollary1", {"max_n": max_n}, instances)
+    return {"max_n": max_n}, instances
 
 
-def suite_identity(cap: int | None = None) -> dict:
+def suite_identity(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Exact translate-overlap counting and the averaging consequence, on
     seeded random triples, plus exhaustive majority coverage on the
     3-dimensional cube.
@@ -291,10 +287,10 @@ def suite_identity(cap: int | None = None) -> dict:
         instances.append({"case": f"coverage z:2,2,2 S=0x{s_set:02x}",
                           "overlap": overlap, "overlap_needed": needed,
                           "ok": overlap >= needed})
-    return _suite_report("identity", {"seed": _IDENTITY_SEED, "trials": 100}, instances)
+    return {"seed": _IDENTITY_SEED, "trials": 100}, instances
 
 
-def suite_oracle(cap: int | None = None) -> dict:
+def suite_oracle(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Branch-and-bound solver against the brute-force oracle: identical
     certificates on the family graphs and on seeded random graphs."""
     rng = random.Random(_IDENTITY_SEED + 1)
@@ -319,8 +315,7 @@ def suite_oracle(cap: int | None = None) -> dict:
         edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
         g = Graph.from_edges(n, edges)
         check(f"random n={n} p={p} #{trial:03d} {encode_graph6(g)}", g)
-    return _suite_report("oracle", {"seed": _IDENTITY_SEED + 1, "trials": _ORACLE_TRIALS},
-                         instances)
+    return {"seed": _IDENTITY_SEED + 1, "trials": _ORACLE_TRIALS}, instances
 
 
 _SUITES = {
@@ -341,12 +336,12 @@ def run_suite(name: str, cap: int | None = None) -> dict:
         return run_all(cap)
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; known: all, {', '.join(_SUITES)}")
-    return _SUITES[name](cap)
+    return _suite_report(name, *_SUITES[name](cap))
 
 
 def run_all(cap: int | None = None) -> dict:
     _sweep(cap)  # reject a bad sweep size before any suite runs
-    suites = [_SUITES[name](cap) for name in SUITE_NAMES]
+    suites = [run_suite(name, cap) for name in SUITE_NAMES]
     return {
         "suite": "all",
         "checked": sum(s["checked"] for s in suites),

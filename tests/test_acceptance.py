@@ -3,6 +3,8 @@
 Each test prints a single "ACCEPTANCE <id> ...: PASS/FAIL" line (visible
 with pytest -s, or in the captured output section on failure) and then
 asserts.  Criteria with a stated time budget assert the elapsed time too.
+One `graphdim verify all` process serves the module: criteria 4, 5 and 8
+read its theorem2 and lemma2 reports, and it is criterion 9's first run.
 """
 
 import hashlib
@@ -11,6 +13,9 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
+
+import pytest
 
 from graphdim.cayley import AbelianGroup, GeneratorSet, dim_via_transitivity
 from graphdim.coloring import chromatic_number
@@ -24,7 +29,7 @@ from graphdim.core import (
 )
 from graphdim.dimension import dim_exact, subdim
 from graphdim.embedding import unit_distance_embed, verify_embedding
-from graphdim.verify import _sweep_stats, enumerate_labeled_graphs, run_suite
+from graphdim.verify import enumerate_labeled_graphs, run_suite
 
 from helpers import subprocess_env
 
@@ -32,6 +37,32 @@ from helpers import subprocess_env
 def _ceil_sqrt(n):
     r = math.isqrt(n)
     return r if r * r == n else r + 1
+
+
+def _run_verify_all():
+    return subprocess.run(
+        [sys.executable, "-m", "graphdim", "verify", "all"],
+        capture_output=True, text=True, env=subprocess_env(),
+    )
+
+
+@pytest.fixture(scope="module")
+def verify_all():
+    """The one `graphdim verify all` run the acceptance criteria share."""
+    return _run_verify_all()
+
+
+def _suite(run, name):
+    """The named suite's report from a `verify all` run."""
+    return next(s for s in json.loads(run.stdout)["suites"] if s["suite"] == name)
+
+
+def _order(g6):
+    return ord(g6[0]) - 63  # graph6 header byte is the size
+
+
+# every labeled graph on 1..6 vertices, the sweep of criteria 4, 5 and 8
+_SWEEP_COUNTS = {n: 1 << (n * (n - 1) // 2) for n in range(1, 7)}
 
 
 def _stamp(name, ok, elapsed=None):
@@ -98,24 +129,22 @@ def test_criterion_3_transitivity_shortcut_agrees():
     assert elapsed < 60
 
 
-def test_criterion_4_chromatic_bound_sweep():
+def test_criterion_4_chromatic_bound_sweep(verify_all):
     start = time.perf_counter()
-    report = run_suite("theorem2", cap=6)
-    counts = {}
-    for inst in report["instances"]:
-        n = ord(inst["case"][0]) - 63  # graph6 header byte is the size
-        counts[n] = counts.get(n, 0) + 1
-    ok = (report["ok"]
-          and counts == {n: 1 << (n * (n - 1) // 2) for n in range(1, 7)})
+    report = _suite(verify_all, "theorem2")
+    counts = Counter(_order(inst["case"]) for inst in report["instances"])
+    ok = (report["ok"] and report["parameters"] == {"max_n": 6}
+          and counts == _SWEEP_COUNTS)
     elapsed = time.perf_counter() - start
     _stamp("4 chromatic bound sweep n<=6", ok, elapsed)
     assert ok
 
 
-def test_criterion_5_critical_subgraph_sweep():
+def test_criterion_5_critical_subgraph_sweep(verify_all):
     start = time.perf_counter()
-    report = run_suite("lemma2", cap=6)
-    ok = report["ok"] and report["checked"] == sum(1 << (n * (n - 1) // 2) for n in range(1, 7))
+    report = _suite(verify_all, "lemma2")
+    ok = (report["ok"] and report["parameters"] == {"max_n": 6}
+          and report["checked"] == sum(_SWEEP_COUNTS.values()))
     elapsed = time.perf_counter() - start
     _stamp("5 critical subgraph sweep n<=6", ok, elapsed)
     assert ok
@@ -145,7 +174,7 @@ def test_criterion_7_oracle_equivalence():
     assert elapsed < 60
 
 
-def test_criterion_8_embeddings_and_doubled_bound():
+def test_criterion_8_embeddings_and_doubled_bound(verify_all):
     start = time.perf_counter()
     ok = True
     graphs = []
@@ -166,9 +195,11 @@ def test_criterion_8_embeddings_and_doubled_bound():
         ok &= report.edges_ok and report.distinct_ok
         ok &= emb.ambient_dim == 2 * chi
     # the doubled chromatic bound, exhaustively on the n<=6 sweep
-    for n in range(1, 7):
-        for _, _, chi, _, dim_value in _sweep_stats(n):
-            ok &= 2 * chi <= 2 * (dim_value + 1) * max(1, (n - 1).bit_length())
+    sweep = _suite(verify_all, "theorem2")["instances"]
+    ok &= len(sweep) == sum(_SWEEP_COUNTS.values())
+    for inst in sweep:
+        n = _order(inst["case"])
+        ok &= 2 * inst["chi"] <= 2 * (inst["dim"] + 1) * max(1, (n - 1).bit_length())
     elapsed = time.perf_counter() - start
     _stamp("8 embeddings + doubled bound", ok and elapsed < 60, elapsed)
     assert ok
@@ -179,17 +210,10 @@ def test_criterion_8_embeddings_and_doubled_bound():
 VERIFY_ALL_SHA256 = "66ec162c698cd08cf42ec44735a2ed031cd3f3a25d09fa0cb4a967ceee96982f"
 
 
-def test_criterion_9_byte_identical_reports():
+def test_criterion_9_byte_identical_reports(verify_all):
     start = time.perf_counter()
-
-    def run_verify_all():
-        return subprocess.run(
-            [sys.executable, "-m", "graphdim", "verify", "all"],
-            capture_output=True, text=True, env=subprocess_env(),
-        )
-
-    first = run_verify_all()
-    second = run_verify_all()
+    first = verify_all
+    second = _run_verify_all()
     ok = (first.returncode == 0 and second.returncode == 0
           and first.stdout == second.stdout and len(first.stdout) > 0)
     ok &= hashlib.sha256(first.stdout.encode()).hexdigest() == VERIFY_ALL_SHA256

@@ -14,7 +14,7 @@ from graphdim import cli, dimension, inputs
 from graphdim.cli import cmd_compute
 from graphdim.coloring import is_proper
 from graphdim.core import (cycle_graph, encode_graph6, hypercube_graph, max_degree_within,
-                           mask_of, parse_graph6)
+                           mask_of, parse_edge_list, parse_graph6)
 from graphdim.errors import CapExceeded, DomainError, ParseError
 
 from helpers import subprocess_env
@@ -146,6 +146,27 @@ def test_header_read_at_the_block_boundary(tmp_path, text, error, message):
         inputs.load_input(str(path), None)
 
 
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("brk", ["\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\r\n"],
+                         ids=["lf", "vt", "ff", "fs", "gs", "rs", "cr", "crlf"])
+def test_a_blank_prefix_numbers_lines_as_parse_edge_list_does(tmp_path, brk, pad):
+    # each ASCII line break of str.splitlines, in a blank prefix that runs
+    # past the first block; the pad shifts which character ends the block,
+    # so some "\r\n" pairs are split across it and some lone "\r" end it
+    prefix = (" " * pad + (brk + "\t\x1f ") * (_BLOCK // 3 + 2)).rstrip("\t\x1f ")
+    assert len(prefix) > _BLOCK
+    text = prefix + "3\n0 1\n\x0c0 9\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    with pytest.raises(ParseError) as whole:
+        parse_edge_list(text)
+    with pytest.raises(ParseError) as loaded:
+        inputs.load_input(str(path), None)
+    assert "endpoint out of range in edge 0-9" in str(whole.value)
+    assert str(loaded.value) == str(whole.value)
+    assert loaded.value.line == whole.value.line
+
+
 @pytest.mark.parametrize("count,byte", [("+3", 43), ("1_0", 49)])
 def test_a_file_in_neither_format_names_both(tmp_path, count, byte):
     path = tmp_path / "g.txt"
@@ -155,10 +176,21 @@ def test_a_file_in_neither_format_names_both(tmp_path, count, byte):
         cmd_compute(str(path), "subdim")
     assert str(err.value) == message
     assert cli.main(["compute", str(path), "--which", "subdim"]) == 2
-    # a .g6 file is graph6 whatever its first line
+    # the content, not the name, picks the format: a .g6 file gets the same error
     path = path.rename(tmp_path / "g.g6")
-    with pytest.raises(ParseError, match=f"^bad graph6 header byte {byte}$"):
+    with pytest.raises(ParseError) as err:
         cmd_compute(str(path), "subdim")
+    assert str(err.value) == (
+        f"{path} is neither an edge list nor graph6 (bad graph6 header byte {byte})")
+
+
+def test_a_g6_named_edge_list_loads_like_its_txt_twin(tmp_path):
+    text = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
+    (tmp_path / "c5.txt").write_text(text)
+    (tmp_path / "c5.g6").write_text(text)
+    txt, _ = inputs.load_input(str(tmp_path / "c5.txt"))
+    g6, _ = inputs.load_input(str(tmp_path / "c5.g6"))
+    assert g6 == txt == cycle_graph(5)
 
 
 def test_non_ascii_file_exit_2(tmp_path):

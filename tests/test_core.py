@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import graphdim
 import graphdim.core as core
-from graphdim.cayley import AbelianGroup, GeneratorSet, cayley_graph
+from graphdim.cayley import AbelianGroup, GeneratorSet, cayley_graph, translate
 from graphdim.core import (
     Graph,
     bits_of,
@@ -29,7 +29,7 @@ from graphdim.core import (
     subsets_of_mask,
     subsets_of_size,
 )
-from graphdim.dimension import subdim, subdim_naive
+from graphdim.dimension import subdim, subdim_exists, subdim_naive
 from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input, parse_cayley_spec
 from graphdim.verify import enumerate_labeled_graphs
@@ -118,6 +118,39 @@ _P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         "max-degree-set", "induced-set", "subdim-set", "dim-cap", "load-cap", "critical-cap",
         "float-cap", "sweep-size"])
 def test_non_integer_sizes_sets_and_caps_raise_domain_error(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
+_Z23 = AbelianGroup((2, 3))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: mask_of([1.5]), "vertex id must be an integer, got 1.5"),
+    (lambda: mask_of(["1"]), "vertex id must be an integer, got '1'"),
+    (lambda: bits_of(1.5), "vertex set must be an integer, got 1.5"),
+    (lambda: bits_of("1"), "vertex set must be an integer, got '1'"),
+    (lambda: next(subsets_of_size(4, 1.5)), "subset size must be an integer, got 1.5"),
+    (lambda: next(subsets_of_size(4.0, 1)), "set size must be an integer, got 4.0"),
+    (lambda: next(subsets_of_mask(15, 1.5)), "subset size must be an integer, got 1.5"),
+    (lambda: next(subsets_of_mask(1.5, 1)), "vertex set must be an integer, got 1.5"),
+    (lambda: subdim_exists(_P4, 15, 1.5, 1), "target size must be an integer, got 1.5"),
+    (lambda: subdim_exists(_P4, 15, 2, 1.5), "degree bound must be an integer, got 1.5"),
+    (lambda: translate(_Z23, 1.5, 0), "vertex set must be an integer, got 1.5"),
+    (lambda: translate(_Z23, 1, 1.5), "element id must be an integer, got 1.5"),
+    (lambda: _Z23.decode(1.5), "element id must be an integer, got 1.5"),
+    (lambda: _Z23.add(1, 1.5), "element id must be an integer, got 1.5"),
+    (lambda: ceil_log2(2.5), "ceil_log2 argument must be an integer, got 2.5"),
+    (lambda: graphdim.decomposition_round_bound(2.5), "vertex count must be an integer, got 2.5"),
+    (lambda: graphdim.decomposition_round_bound("3"), "vertex count must be an integer, got '3'"),
+    (lambda: graphdim.chromatic_bound_from_dim(1.5, 4), "dim value must be an integer, got 1.5"),
+    (lambda: graphdim.chromatic_bound_from_dim(1, 4.0), "vertex count must be an integer, got 4.0"),
+], ids=["mask-float", "mask-str", "bits-float", "bits-str", "subsets-s", "subsets-n",
+        "subsets-of-mask-s", "subsets-of-mask-set", "exists-size", "exists-degree",
+        "translate-set", "translate-element", "decode", "add", "ceil-log2", "round-bound",
+        "round-bound-str", "chi-bound-dim", "chi-bound-n"])
+def test_non_integer_arguments_of_the_helpers_raise_domain_error(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
