@@ -41,11 +41,10 @@ class AbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(_integer(n, "cyclic order") for n in self.orders))
-        if not self.orders:
+        orders = tuple(_integer(n, "cyclic order", 1) for n in self.orders)
+        object.__setattr__(self, "orders", orders)
+        if not orders:
             raise DomainError("group needs at least one cyclic factor")
-        if any(n < 1 for n in self.orders):
-            raise DomainError(f"cyclic orders must be >= 1, got {self.orders}")
 
     @property
     def size(self) -> int:
@@ -64,9 +63,7 @@ class AbelianGroup:
         return eid
 
     def decode(self, eid: int) -> tuple[int, ...]:
-        eid = _integer(eid, "element id")
-        if not 0 <= eid < self.size:
-            raise DomainError(f"element id {eid} out of range for group of size {self.size}")
+        eid = _integer(eid, "element id", 0, self.size - 1)
         out = []
         for n in self.orders:
             out.append(eid % n)

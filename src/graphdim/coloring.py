@@ -241,12 +241,9 @@ def _decompose(g: Graph, full: SubdimCertificate
 
 def decomposition_round_bound(n: int) -> int:
     """Upper bound on decomposition rounds: max(1, ceil(log2 n))."""
-    n = _integer(n, "vertex count")
-    if n < 1:
-        raise DomainError("round bound needs n >= 1")
-    return max(1, ceil_log2(n))
+    return max(1, ceil_log2(_integer(n, "vertex count", 1)))
 
 
 def chromatic_bound_from_dim(dim_value: int, n: int) -> int:
     """The guaranteed palette bound (dim + 1) * max(1, ceil(log2 n))."""
-    return (_integer(dim_value, "dim value") + 1) * decomposition_round_bound(n)
+    return (_integer(dim_value, "dim value", 0) + 1) * decomposition_round_bound(n)

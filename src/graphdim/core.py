@@ -40,11 +40,24 @@ __all__ = [
 ]
 
 
-def _integer(x, what: str) -> int:
+def _integer(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """x as an int by operator.index, the one guard of every integer argument.
+
+    Anything else is refused with DomainError "{what} must be an integer,
+    got {x!r}".  With a lower bound lo, x < lo is refused as "{what} must be
+    >= {lo}, got {x}"; with both bounds (hi only together with lo), x outside
+    lo..hi is refused as "{what} {x} out of range {lo}..{hi}".
+    """
     try:
-        return operator.index(x)
+        x = operator.index(x)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {x!r}") from None
+    if hi is not None:
+        if not lo <= x <= hi:
+            raise DomainError(f"{what} {x} out of range {lo}..{hi}")
+    elif lo is not None and x < lo:
+        raise DomainError(f"{what} must be >= {lo}, got {x}")
+    return x
 
 
 def _permutation(perm, n: int, what: str) -> list[int]:
@@ -57,9 +70,7 @@ def _permutation(perm, n: int, what: str) -> list[int]:
 
 def bits_of(mask: int) -> list[int]:
     """Vertex ids in a bitset, ascending."""
-    mask = _integer(mask, "vertex set")
-    if mask < 0:
-        raise DomainError(f"a vertex set is a nonnegative bitset, got {mask}")
+    mask = _integer(mask, "vertex set", 0)
     out = []
     while mask:
         low = mask & -mask
@@ -72,19 +83,13 @@ def mask_of(vertices) -> int:
     """Bitset from an iterable of vertex ids."""
     m = 0
     for v in vertices:
-        v = _integer(v, "vertex id")
-        if v < 0:
-            raise DomainError(f"vertex ids are nonnegative, got {v}")
-        m |= 1 << v
+        m |= 1 << _integer(v, "vertex id", 0)
     return m
 
 
 def ceil_log2(n: int) -> int:
     """Smallest k with 2**k >= n, for n >= 1."""
-    n = _integer(n, "ceil_log2 argument")
-    if n < 1:
-        raise DomainError(f"ceil_log2 needs n >= 1, got {n}")
-    return (n - 1).bit_length()
+    return (_integer(n, "ceil_log2 argument", 1) - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -107,15 +112,13 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        n = _integer(self.n, "vertex count")
+        n = _integer(self.n, "vertex count", 0)
         try:
             adj = tuple(self.adj)
         except TypeError:
             raise DomainError(f"adjacency must be a sequence of rows, got {self.adj!r}") from None
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
-        if n < 0:
-            raise DomainError(f"vertex count must be >= 0, got {n}")
         if len(adj) != n:
             raise DomainError(f"adjacency has {len(adj)} rows for n={n}")
         for v, row in enumerate(adj):
@@ -140,9 +143,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
-        n = _integer(n, "vertex count")
-        if n < 0:
-            raise DomainError(f"vertex count must be >= 0, got {n}")
+        n = _integer(n, "vertex count", 0)
         try:
             edges = iter(edges)
         except TypeError:
@@ -407,39 +408,29 @@ def encode_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 def path_graph(n: int) -> Graph:
-    n = _integer(n, "vertex count")
-    if n < 1:
-        raise DomainError(f"path needs n >= 1, got {n}")
+    n = _integer(n, "vertex count", 1)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
-    n = _integer(n, "vertex count")
-    if n < 3:
-        raise DomainError(f"cycle needs n >= 3, got {n}")
+    n = _integer(n, "vertex count", 3)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
-    n = _integer(n, "vertex count")
-    if n < 1:
-        raise DomainError(f"complete graph needs n >= 1, got {n}")
+    n = _integer(n, "vertex count", 1)
     return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
     """Sides {0..m-1} and {m..m+n-1}."""
-    m, n = _integer(m, "side size"), _integer(n, "side size")
-    if m < 1 or n < 1:
-        raise DomainError(f"complete bipartite graph needs m, n >= 1, got {m}, {n}")
+    m, n = _integer(m, "side size", 1), _integer(n, "side size", 1)
     return Graph.from_edges(m + n, ((a, m + b) for a in range(m) for b in range(n)))
 
 
 def hypercube_graph(n: int) -> Graph:
     """n-dimensional hypercube; vertex id encodes the 0/1 tuple in binary."""
-    n = _integer(n, "hypercube dimension")
-    if n < 1:
-        raise DomainError(f"hypercube needs n >= 1, got {n}")
+    n = _integer(n, "hypercube dimension", 1)
     size = 1 << n
     adj = [0] * size
     for v in range(size):
@@ -455,13 +446,18 @@ def hypercube_graph(n: int) -> Graph:
 def subsets_of_size(n: int, s: int):
     """All C(n, s) subsets of {0..n-1} as bitsets, in increasing numeric order.
 
-    Gosper's hack: each step produces the next-larger int with the same
-    popcount.  The numeric order is the package-wide canonical subset order;
-    tie-breaks elsewhere mean "smallest mask in this order".
+    The arguments are checked at the call; the subsets come from a generator.
     """
-    n, s = _integer(n, "set size"), _integer(s, "subset size")
-    if s < 0 or s > n:
-        raise DomainError(f"subset size {s} out of range for n={n}")
+    n = _integer(n, "set size", 0)
+    return _gosper(n, _integer(s, "subset size", 0, n))
+
+
+def _gosper(n: int, s: int):
+    """subsets_of_size for checked arguments, by Gosper's hack: each step
+    produces the next-larger int with the same popcount.  The numeric order
+    is the package-wide canonical subset order; tie-breaks elsewhere mean
+    "smallest mask in this order".
+    """
     if s == 0:
         yield 0
         return
@@ -475,16 +471,21 @@ def subsets_of_size(n: int, s: int):
 
 
 def subsets_of_mask(mask: int, s: int):
-    """All size-s subsets of an arbitrary bitset, in increasing numeric order."""
+    """All size-s subsets of an arbitrary bitset, in increasing numeric order.
+
+    The arguments are checked at the call; the subsets come from a generator.
+    """
     members = bits_of(mask)
     k = len(members)
-    s = _integer(s, "subset size")
-    if s < 0 or s > k:
-        raise DomainError(f"subset size {s} out of range for a {k}-element set")
+    s = _integer(s, "subset size", 0, k)
     if mask == (1 << k) - 1:  # contiguous: no index translation needed
-        yield from subsets_of_size(k, s)
-        return
-    for idx_mask in subsets_of_size(k, s):
+        return _gosper(k, s)
+    return _spread(members, _gosper(k, s))
+
+
+def _spread(members: list[int], idx_masks):
+    """Each bitset of indices into members as the bitset of those members."""
+    for idx_mask in idx_masks:
         sub = 0
         rest = idx_mask
         while rest:

@@ -110,10 +110,7 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     check the cap before they call either, and a direct caller owns that check.
     """
     _check_subset(g, subset)
-    s, d = _integer(s, "target size"), _integer(d, "degree bound")
-    k = subset.bit_count()
-    if s < 0 or s > k:
-        raise DomainError(f"target size {s} out of range for a {k}-element host")
+    s, d = _integer(s, "target size", 0, subset.bit_count()), _integer(d, "degree bound")
     if d < 0:
         return None
     if s == 0:

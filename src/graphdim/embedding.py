@@ -17,7 +17,7 @@ from math import gcd
 from operator import methodcaller
 
 from .coloring import Coloring, is_proper
-from .core import Graph, bits_of
+from .core import Graph, _integer, bits_of
 from .errors import DomainError
 
 __all__ = [
@@ -107,15 +107,21 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     bitset steps, plus exact arithmetic only on edges whose endpoints share
     a coordinate (none, for the embedding of a proper coloring).
 
-    Raises DomainError for a point that does not have ambient_dim
-    coordinates, or a coordinate that is not an int or a Fraction.
+    Raises DomainError for an ambient_dim that is not an integer >= 0,
+    points that are not a sequence of coordinate sequences, a point that
+    does not have ambient_dim coordinates, or a coordinate that is not an
+    int or a Fraction.
     """
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
-    points = emb.points
+    d = _integer(emb.ambient_dim, "ambient_dim", 0)
+    try:
+        points = tuple(map(tuple, emb.points))
+    except TypeError:
+        raise DomainError(f"points must be a sequence of coordinate sequences, "
+                          f"got {emb.points!r}") from None
     if len(points) != g.n:
         raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
-    d = emb.ambient_dim
     if set(map(len, points)) - {d}:
         raise DomainError(f"every point needs ambient_dim={d} coordinates")
     for kind in set(map(type, chain.from_iterable(points))):

@@ -58,11 +58,9 @@ def enumerate_labeled_graphs(n: int):
     exactly the edges whose rank bits are set in i, so enumeration order is
     deterministic and dense in i.
     """
-    n = _integer(n, "vertex count")
+    n = _integer(n, "vertex count", 0)
     if n > _SWEEP_LIMIT:
         raise CapExceeded(f"labeled enumeration supports n <= {_SWEEP_LIMIT}, got {n}")
-    if n < 0:
-        raise DomainError(f"vertex count must be >= 0, got {n}")
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         adj = [0] * n
@@ -87,11 +85,9 @@ def _sweep_stats(n: int) -> list[tuple]:
 def _sweep(cap: int | None):
     """The checked sweep size max_n (None means the largest) and an iterator
     over the _sweep_stats records for n = 1..max_n; checks before any work."""
-    max_n = _SWEEP_LIMIT if cap is None else _integer(cap, "verify sweep size")
+    max_n = _SWEEP_LIMIT if cap is None else _integer(cap, "verify sweep size", 1)
     if max_n > _SWEEP_LIMIT:
         raise CapExceeded(f"verify sweep size must be <= {_SWEEP_LIMIT}, got {max_n}")
-    if max_n < 1:
-        raise DomainError(f"verify sweep size must be >= 1, got {max_n}")
     return max_n, itertools.chain.from_iterable(map(_sweep_stats, range(1, max_n + 1)))
 
 

@@ -205,6 +205,19 @@ def test_bad_family_parameter_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("cycle:2", "vertex count must be >= 3, got 2"),
+    ("kbip:0,3", "side size must be >= 1, got 0"),
+    ("cube:0", "hypercube dimension must be >= 1, got 0"),
+    ("cayley:z:0;gens=1", "cyclic order must be >= 1, got 0"),
+])
+def test_out_of_range_family_parameters_exit_2(spec, message):
+    proc = run_cli("compute", spec)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"graphdim: error: {message}\n"
+
+
 def test_compute_refuses_an_unknown_which_before_loading():
     with pytest.raises(DomainError, match="bogus"):
         cmd_compute("cycle:5", "bogus")

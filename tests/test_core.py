@@ -103,8 +103,8 @@ _P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
      "side size must be an integer, got 2.5"),
     (lambda: graphdim.hypercube_graph(2.0), "hypercube dimension must be an integer, got 2.0"),
     (lambda: next(enumerate_labeled_graphs(2.5)), "vertex count must be an integer, got 2.5"),
-    (lambda: graphdim.cycle_graph(2), "cycle needs n >= 3, got 2"),
-    (lambda: graphdim.hypercube_graph(0), "hypercube needs n >= 1, got 0"),
+    (lambda: graphdim.cycle_graph(2), "vertex count must be >= 3, got 2"),
+    (lambda: graphdim.hypercube_graph(0), "hypercube dimension must be >= 1, got 0"),
     (lambda: graphdim.max_degree_within(_P4, 1.5), "vertex set must be an integer, got 1.5"),
     (lambda: graphdim.induced_subgraph(_P4, 1.5), "vertex set must be an integer, got 1.5"),
     (lambda: subdim(_P4, 1.5), "vertex set must be an integer, got 1.5"),
@@ -699,11 +699,13 @@ _C5 = cycle_graph(5)
     pytest.param(lambda: encode_graph6(Graph(258048, (0,) * 258048)), DomainError,
                  "n <= 258047", id="graph6-encode-too-large"),
     pytest.param(lambda: next(subsets_of_mask(0b101, 3)), DomainError,
-                 "size 3 out of range for a 2-element set", id="subsets_of_mask-too-large"),
-    pytest.param(lambda: bits_of(-1), DomainError, "nonnegative", id="bits_of-negative"),
-    pytest.param(lambda: mask_of([2, -1]), DomainError, "nonnegative, got -1",
+                 "subset size 3 out of range 0..2", id="subsets_of_mask-too-large"),
+    pytest.param(lambda: bits_of(-1), DomainError, "vertex set must be >= 0, got -1",
+                 id="bits_of-negative"),
+    pytest.param(lambda: mask_of([2, -1]), DomainError, "vertex id must be >= 0, got -1",
                  id="mask_of-negative"),
-    pytest.param(lambda: next(subsets_of_mask(-1, 1)), DomainError, "nonnegative",
+    pytest.param(lambda: next(subsets_of_mask(-1, 1)), DomainError,
+                 "vertex set must be >= 0, got -1",
                  id="subsets_of_mask-negative"),
 ])
 def test_core_refusals(call, error, message):
@@ -715,3 +717,79 @@ def test_ceil_log2():
     assert [ceil_log2(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
     with pytest.raises(DomainError):
         ceil_log2(0)
+
+
+_Z34 = AbelianGroup((3, 4))
+
+
+# Every bounded integer argument: a call taking that argument, the value just
+# outside its bound, the bound itself, and the refusal of the first.
+@pytest.mark.parametrize("call,outside,bound,message", [
+    pytest.param(bits_of, -1, 0, "vertex set must be >= 0, got -1", id="bits_of"),
+    pytest.param(lambda x: mask_of([3, x]), -1, 0, "vertex id must be >= 0, got -1",
+                 id="mask_of"),
+    pytest.param(ceil_log2, 0, 1, "ceil_log2 argument must be >= 1, got 0", id="ceil_log2"),
+    pytest.param(lambda x: Graph(x, ()), -1, 0, "vertex count must be >= 0, got -1",
+                 id="Graph"),
+    pytest.param(lambda x: Graph.from_edges(x, []), -1, 0,
+                 "vertex count must be >= 0, got -1", id="from_edges"),
+    pytest.param(path_graph, 0, 1, "vertex count must be >= 1, got 0", id="path"),
+    pytest.param(cycle_graph, 2, 3, "vertex count must be >= 3, got 2", id="cycle"),
+    pytest.param(complete_graph, 0, 1, "vertex count must be >= 1, got 0", id="complete"),
+    pytest.param(lambda x: complete_bipartite_graph(x, 2), 0, 1,
+                 "side size must be >= 1, got 0", id="kbip-m"),
+    pytest.param(lambda x: complete_bipartite_graph(2, x), 0, 1,
+                 "side size must be >= 1, got 0", id="kbip-n"),
+    pytest.param(hypercube_graph, 0, 1, "hypercube dimension must be >= 1, got 0", id="cube"),
+    pytest.param(lambda x: next(subsets_of_size(x, 0)), -1, 0,
+                 "set size must be >= 0, got -1", id="subsets_of_size-n"),
+    pytest.param(lambda x: next(subsets_of_size(4, x)), -1, 0,
+                 "subset size -1 out of range 0..4", id="subsets_of_size-s-low"),
+    pytest.param(lambda x: next(subsets_of_size(4, x)), 5, 4,
+                 "subset size 5 out of range 0..4", id="subsets_of_size-s-high"),
+    pytest.param(lambda x: next(subsets_of_mask(x, 0)), -1, 0,
+                 "vertex set must be >= 0, got -1", id="subsets_of_mask-set"),
+    pytest.param(lambda x: next(subsets_of_mask(0b1011, x)), -1, 0,
+                 "subset size -1 out of range 0..3", id="subsets_of_mask-s-low"),
+    pytest.param(lambda x: next(subsets_of_mask(0b1011, x)), 4, 3,
+                 "subset size 4 out of range 0..3", id="subsets_of_mask-s-high"),
+    pytest.param(lambda x: subdim_exists(_P4, 0b1110, x, 1), -1, 0,
+                 "target size -1 out of range 0..3", id="subdim_exists-low"),
+    pytest.param(lambda x: subdim_exists(_P4, 0b1110, x, 1), 4, 3,
+                 "target size 4 out of range 0..3", id="subdim_exists-high"),
+    pytest.param(lambda x: AbelianGroup((3, x)), 0, 1, "cyclic order must be >= 1, got 0",
+                 id="group-order"),
+    pytest.param(_Z34.decode, -1, 0, "element id -1 out of range 0..11", id="decode-low"),
+    pytest.param(_Z34.decode, 12, 11, "element id 12 out of range 0..11", id="decode-high"),
+    pytest.param(graphdim.decomposition_round_bound, 0, 1,
+                 "vertex count must be >= 1, got 0", id="round-bound"),
+    pytest.param(lambda x: graphdim.chromatic_bound_from_dim(x, 4), -1, 0,
+                 "dim value must be >= 0, got -1", id="chi-bound-dim"),
+    pytest.param(lambda x: graphdim.chromatic_bound_from_dim(0, x), 0, 1,
+                 "vertex count must be >= 1, got 0", id="chi-bound-n"),
+    pytest.param(lambda x: next(enumerate_labeled_graphs(x)), -1, 0,
+                 "vertex count must be >= 0, got -1", id="labeled"),
+    pytest.param(lambda x: graphdim.run_suite("theorem2", x), 0, 1,
+                 "verify sweep size must be >= 1, got 0", id="sweep-size"),
+])
+def test_integer_bounds(call, outside, bound, message):
+    call(bound)
+    with pytest.raises(DomainError) as err:
+        call(outside)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: subsets_of_size(4, 1.5), "subset size must be an integer, got 1.5"),
+    (lambda: subsets_of_size(4.0, 1), "set size must be an integer, got 4.0"),
+    (lambda: subsets_of_size(4, 9), "subset size 9 out of range 0..4"),
+    (lambda: subsets_of_size(-1, 0), "set size must be >= 0, got -1"),
+    (lambda: subsets_of_mask(15, 9), "subset size 9 out of range 0..4"),
+    (lambda: subsets_of_mask(15, 1.5), "subset size must be an integer, got 1.5"),
+    (lambda: subsets_of_mask(-1, 1), "vertex set must be >= 0, got -1"),
+], ids=["size-float-s", "size-float-n", "size-s", "size-n", "mask-s", "mask-float-s",
+        "mask-set"])
+def test_subset_generators_check_arguments_at_the_call(call, message):
+    with pytest.raises(DomainError) as err:
+        call()  # no next(): the refusal comes before any subset is asked for
+    assert str(err.value) == message

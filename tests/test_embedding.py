@@ -112,6 +112,19 @@ def test_verifier_refuses_inexact_or_misshapen_points(points, message):
         verify_embedding(complete_graph(2), Embedding(2, points))
 
 
+@pytest.mark.parametrize("n,emb,message", [
+    (2, Embedding(2.0, ((HALF, 0), (-HALF, 0))), "ambient_dim must be an integer, got 2.0"),
+    (2, Embedding(-1, ((HALF, 0), (-HALF, 0))), "ambient_dim must be >= 0, got -1"),
+    (5, Embedding(2, (1, 2, 3, 4, 5)),
+     "points must be a sequence of coordinate sequences, got (1, 2, 3, 4, 5)"),
+    (2, Embedding(2, None), "points must be a sequence of coordinate sequences, got None"),
+], ids=["float-dim", "negative-dim", "int-points", "no-points"])
+def test_verifier_refuses_a_malformed_embedding(n, emb, message):
+    with pytest.raises(DomainError) as err:
+        verify_embedding(path_graph(n), emb)
+    assert str(err.value) == message
+
+
 def test_verifier_single_vertex():
     g = path_graph(1)
     emb = unit_distance_embed(g, Coloring((0,)))
