@@ -43,8 +43,12 @@ class Coloring:
     palette_size: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        used = set(self.colors)
+        try:
+            object.__setattr__(self, "colors", tuple(self.colors))
+            used = set(self.colors)
+        except TypeError:
+            raise DomainError(f"colors must be a sequence of color ids, "
+                              f"got {self.colors!r}") from None
         if used != set(range(len(used))) or any(type(c) is not int for c in used):
             raise DomainError("color ids must be exactly 0..k-1 for some k")
         object.__setattr__(self, "palette_size", len(used))

@@ -9,10 +9,12 @@ vertices are removed, the inner minimum is attained at size exactly
 floor(m/2) + 1, and that is the only size the solvers enumerate.
 
 The solver comes in two independent routes: a brute-force oracle
-(``subdim_naive``) that enumerates every candidate subset, and a pruned
-branch-and-bound (``subdim_exists`` / ``subdim``) used for real work, which
-cuts the neighbors of saturated members and rejects a pick that leaves a
-member too few non-neighbors to complete the selection within degree d.
+(``subdim_naive``) that visits and compares every majority subset, free of
+pruning (only the weighing of one subset stops early, once it cannot beat
+the best so far), and a pruned branch-and-bound (``subdim_exists`` /
+``subdim``) used for real work, which cuts the neighbors of saturated
+members and rejects a pick that leaves a member too few non-neighbors to
+complete the selection within degree d.
 Both return the same value and the same witness: subsets are explored in
 increasing numeric bitset order, so the reported witness is always the
 numerically smallest optimal subset and certificates compare bit-for-bit
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Graph, _check_subset, _induced_max_degree, _integer, subsets_of_mask,
-                   subsets_of_size)
+from .core import Graph, _check_subset, _integer, subsets_of_mask, subsets_of_size
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -194,7 +195,13 @@ def subdim(g: Graph, subset: int) -> SubdimCertificate:
 def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
     """Brute-force oracle for subdim: enumerate every majority-size subset.
 
-    Kept deliberately free of pruning so it can vouch for the search path.
+    Kept deliberately free of pruning so it can vouch for the search path:
+    every candidate is visited and compared with the best so far, in
+    numeric order.  Only the weighing of one candidate stops early, at its
+    first member with `best` or more neighbors inside it: such a candidate
+    cannot beat the best.  best starts at s, above the max degree of any
+    s-vertex set, so the witness is the first candidate that reaches the
+    minimum.
     """
     _check_subset(g, subset)
     if subset == 0:
@@ -202,11 +209,20 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
     m = subset.bit_count()
     s = m // 2 + 1
     adj = g.adj
-    best = None
+    best = s
     best_witness = None
     for cand in subsets_of_mask(subset, s):
-        delta = _induced_max_degree(adj, cand)
-        if best is None or delta < best:
+        delta = 0
+        rest = cand
+        while rest:
+            low = rest & -rest
+            d = (adj[low.bit_length() - 1] & cand).bit_count()
+            if d >= best:
+                break
+            if d > delta:
+                delta = d
+            rest ^= low
+        else:
             best = delta
             best_witness = cand
     return SubdimCertificate(value=best, witness_min=best_witness, host_size=m)

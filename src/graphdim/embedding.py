@@ -107,26 +107,14 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     bitset steps, plus exact arithmetic only on edges whose endpoints share
     a coordinate (none, for the embedding of a proper coloring).
 
-    Raises DomainError for an ambient_dim that is not an integer >= 0,
-    points that are not a sequence of coordinate sequences, a point that
-    does not have ambient_dim coordinates, or a coordinate that is not an
-    int or a Fraction.
+    Raises DomainError for a malformed embedding (see _checked_points) or
+    one that does not have a point per vertex of g.
     """
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
-    d = _integer(emb.ambient_dim, "ambient_dim", 0)
-    try:
-        points = tuple(map(tuple, emb.points))
-    except TypeError:
-        raise DomainError(f"points must be a sequence of coordinate sequences, "
-                          f"got {emb.points!r}") from None
+    d, points = _checked_points(emb)
     if len(points) != g.n:
         raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
-    if set(map(len, points)) - {d}:
-        raise DomainError(f"every point needs ambient_dim={d} coordinates")
-    for kind in set(map(type, chain.from_iterable(points))):
-        if not issubclass(kind, (int, Fraction)):
-            raise DomainError(f"coordinates must be int or Fraction, got {kind.__name__}")
     on = [0] * d
     supports, keys, norm_of = [], [], []
     key_norm = {}  # (numerator, denominator) pairs of the nonzero values -> norm id
@@ -183,11 +171,37 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}'.
 
     Coordinates are written exactly, as integers or reduced fractions p/q.
+    Raises DomainError for a malformed embedding, as verify_embedding does.
     """
-    if len(col.colors) != len(emb.points):
+    points = _checked_points(emb)[1]
+    if len(col.colors) != len(points):
         raise DomainError("coloring and embedding cover different vertex counts")
     lines = []
-    for v, point in enumerate(emb.points):
+    for v, point in enumerate(points):
         coords = " ".join(map(str, point))
         lines.append(f"{v} {col.colors[v]} {coords}")
     return "\n".join(lines) + "\n"
+
+
+def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:
+    """(ambient_dim, points as a tuple of tuples) of an embedding, checked.
+
+    Raises DomainError for an ambient_dim that is not an integer >= 0,
+    points that are not a sequence of coordinate sequences, a point that
+    does not have ambient_dim coordinates, or a coordinate that is not an
+    int or a Fraction.
+    """
+    from fractions import Fraction  # imported here, as in unit_distance_embed
+
+    d = _integer(emb.ambient_dim, "ambient_dim", 0)
+    try:
+        points = tuple(map(tuple, emb.points))
+    except TypeError:
+        raise DomainError(f"points must be a sequence of coordinate sequences, "
+                          f"got {emb.points!r}") from None
+    if set(map(len, points)) - {d}:
+        raise DomainError(f"every point needs ambient_dim={d} coordinates")
+    for kind in set(map(type, chain.from_iterable(points))):
+        if not issubclass(kind, (int, Fraction)):
+            raise DomainError(f"coordinates must be int or Fraction, got {kind.__name__}")
+    return d, points

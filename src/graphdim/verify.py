@@ -56,11 +56,17 @@ def enumerate_labeled_graphs(n: int):
 
     Edge pairs are ranked in itertools.combinations order and graph i has
     exactly the edges whose rank bits are set in i, so enumeration order is
-    deterministic and dense in i.
+    deterministic and dense in i.  The argument is checked at the call; the
+    graphs come from a generator.
     """
     n = _integer(n, "vertex count", 0)
     if n > _SWEEP_LIMIT:
         raise CapExceeded(f"labeled enumeration supports n <= {_SWEEP_LIMIT}, got {n}")
+    return _labeled_graphs(n)
+
+
+def _labeled_graphs(n: int):
+    """enumerate_labeled_graphs for a checked n."""
     pairs = list(itertools.combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         adj = [0] * n

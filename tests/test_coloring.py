@@ -49,6 +49,8 @@ def test_coloring_rejects_gaps():
         Coloring(("a",))
     with pytest.raises(DomainError):
         Coloring((0.0, 1))  # equal to the ids 0 and 1, but no list index
+    with pytest.raises(DomainError, match="colors must be a sequence of color ids, got None"):
+        Coloring(None)
 
 
 def test_coloring_palette_size_counts_the_colors():

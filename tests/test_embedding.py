@@ -299,6 +299,16 @@ def test_embedding_refuses_mismatched_lengths(call, message):
         call(emb)
 
 
+@pytest.mark.parametrize("emb,message", [
+    (Embedding(2, None), "points must be a sequence of coordinate sequences, got None"),
+    (Embedding(2, (1, 2)), "points must be a sequence of coordinate sequences, got (1, 2)"),
+], ids=["no-points", "int-points"])
+def test_format_embedding_refuses_a_malformed_embedding(emb, message):
+    with pytest.raises(DomainError) as err:
+        format_embedding(emb, Coloring((0, 1)))
+    assert str(err.value) == message
+
+
 def test_format_embedding_layout():
     g = hypercube_graph(2)
     k, col = chromatic_number(g)

@@ -41,6 +41,14 @@ def test_enumeration_refuses_a_negative_size():
         next(enumerate_labeled_graphs(-1))
 
 
+def test_enumeration_checks_its_argument_at_the_call():
+    # no next(): the checks run before the generator is returned
+    with pytest.raises(CapExceeded, match="supports n <= 6, got 99"):
+        enumerate_labeled_graphs(99)
+    with pytest.raises(DomainError, match="vertex count must be >= 0, got -1"):
+        enumerate_labeled_graphs(-1)
+
+
 def test_sweep_stats_consistent():
     stats = _sweep_stats(4)
     assert len(stats) == 64
