@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import Graph, _integer, mask_of
+from .core import Graph, _integer, _iterable, mask_of
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -41,7 +41,8 @@ class AbelianGroup:
     orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(_integer(n, "cyclic order", 1) for n in self.orders)
+        orders = _iterable(self.orders, "orders must be a sequence of cyclic orders")
+        orders = tuple(_integer(n, "cyclic order", 1) for n in orders)
         object.__setattr__(self, "orders", orders)
         if not orders:
             raise DomainError("group needs at least one cyclic factor")
@@ -52,7 +53,7 @@ class AbelianGroup:
 
     def encode(self, element) -> int:
         """Mixed-radix id of a residue tuple (first coordinate least significant)."""
-        element = tuple(element)
+        element = tuple(_iterable(element, "element must be a sequence of coordinates"))
         if len(element) != len(self.orders):
             raise DomainError(f"element has {len(element)} coordinates, wanted {len(self.orders)}")
         eid = 0
@@ -85,6 +86,7 @@ class GeneratorSet:
     elements: frozenset[int]
 
     def __init__(self, elements):
+        elements = _iterable(elements, "generators must be an iterable of element ids")
         object.__setattr__(self, "elements", frozenset(_integer(e, "generator") for e in elements))
 
 

@@ -19,8 +19,8 @@ import sys
 import time
 
 from .coloring import _decompose, chromatic_number, is_proper
-from .core import bits_of, encode_graph6, max_degree_within
-from .dimension import _dim_search, dim_exact, subdim, subdim_naive
+from .core import bits_of, encode_graph6
+from .dimension import _dim_search, _replay_dim, _replay_subdim, dim_exact, subdim
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
 from .inputs import load_input
@@ -33,32 +33,16 @@ EXIT_CAP = 3
 EXIT_IO = 4
 
 
-def _subdim_entry(g, cert) -> dict:
-    replay = max_degree_within(g, cert.witness_min)
-    return {
-        "value": cert.value,
-        "witness_min": bits_of(cert.witness_min),
-        "host_size": cert.host_size,
-        "replay": {"witness_max_degree": replay, "ok": replay == cert.value},
-    }
+def _subdim_entry(cert) -> dict:
+    return {"value": cert.value, "witness_min": bits_of(cert.witness_min),
+            "host_size": cert.host_size}
 
 
 def _dim_entry(g, cert) -> dict:
     entry = {"value": cert.value, "witness_max": bits_of(cert.witness_max)}
     if cert.inner is not None:
-        inner_replay = max_degree_within(g, cert.inner.witness_min)
-        # by the brute-force oracle, not the branch and bound that found it
-        recomputed = subdim_naive(g, cert.witness_max).value
-        entry["inner"] = {
-            "value": cert.inner.value,
-            "witness_min": bits_of(cert.inner.witness_min),
-            "host_size": cert.inner.host_size,
-        }
-        entry["replay"] = {
-            "witness_max_degree": inner_replay,
-            "subdim_of_witness_max": recomputed,
-            "ok": inner_replay == cert.value and recomputed == cert.value,
-        }
+        entry["inner"] = _subdim_entry(cert.inner)
+        entry["replay"] = _replay_dim(g, cert)
     return entry
 
 
@@ -106,7 +90,8 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     full = None
     if which == "subdim" or (which == "all" and g.n >= 1):
         full = subdim(g, g.vertex_mask)
-        results["subdim"] = _subdim_entry(g, full)
+        results["subdim"] = dict(_subdim_entry(full),
+                                 replay=_replay_subdim(g, full, g.vertex_mask))
     if which in ("dim", "all"):
         dim = dim_exact(g, cap=cap) if full is None else _dim_search(g, full)
         results["dim"] = _dim_entry(g, dim)

@@ -34,6 +34,17 @@ __all__ = [
 ]
 
 
+def _labels(colors) -> tuple:
+    """colors as a tuple of hashable labels; anything else is refused with
+    DomainError, as the coloring kind's input."""
+    try:
+        colors = tuple(colors)
+        hash(colors)
+    except TypeError:
+        raise DomainError(f"colors must be a sequence of color ids, got {colors!r}") from None
+    return colors
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Total proper coloring; color ids are gap-free 0..palette_size-1, and
@@ -43,12 +54,8 @@ class Coloring:
     palette_size: int = field(init=False)
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "colors", tuple(self.colors))
-            used = set(self.colors)
-        except TypeError:
-            raise DomainError(f"colors must be a sequence of color ids, "
-                              f"got {self.colors!r}") from None
+        object.__setattr__(self, "colors", _labels(self.colors))
+        used = set(self.colors)
         if used != set(range(len(used))) or any(type(c) is not int for c in used):
             raise DomainError("color ids must be exactly 0..k-1 for some k")
         object.__setattr__(self, "palette_size", len(used))
@@ -64,8 +71,9 @@ class DecompositionRound:
 def is_proper(g: Graph, colors) -> bool:
     """True when colors (one hashable label per vertex) gives the endpoints
     of every edge different labels: one bitset per color class, and no
-    vertex may have a neighbour in its own class."""
-    colors = tuple(colors)
+    vertex may have a neighbour in its own class.  This is the replay of a
+    coloring certificate; colors that are not such labels raise DomainError."""
+    colors = _labels(colors)
     if len(colors) != g.n:
         return False
     classes = dict.fromkeys(colors, 0)

@@ -60,11 +60,22 @@ def _integer(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
     return x
 
 
+def _iterable(x, rule: str):
+    """x itself once iter(x) accepts it, the one guard of every iterable
+    argument; anything else is refused with DomainError "{rule}, got {x!r}"."""
+    try:
+        iter(x)
+    except TypeError:
+        raise DomainError(f"{rule}, got {x!r}") from None
+    return x
+
+
 def _permutation(perm, n: int, what: str) -> list[int]:
     """perm as a list of ints, refused unless it is a permutation of 0..n-1."""
-    perm = [_integer(v, f"{what} entry") for v in perm]
+    rule = f"{what} must be a permutation of 0..n-1"
+    perm = [_integer(v, f"{what} entry") for v in _iterable(perm, rule)]
     if sorted(perm) != list(range(n)):
-        raise DomainError(f"{what} must be a permutation of 0..n-1")
+        raise DomainError(rule)
     return perm
 
 
@@ -82,7 +93,7 @@ def bits_of(mask: int) -> list[int]:
 def mask_of(vertices) -> int:
     """Bitset from an iterable of vertex ids."""
     m = 0
-    for v in vertices:
+    for v in _iterable(vertices, "vertices must be an iterable of vertex ids"):
         m |= 1 << _integer(v, "vertex id", 0)
     return m
 
@@ -113,10 +124,7 @@ class Graph:
 
     def __post_init__(self):
         n = _integer(self.n, "vertex count", 0)
-        try:
-            adj = tuple(self.adj)
-        except TypeError:
-            raise DomainError(f"adjacency must be a sequence of rows, got {self.adj!r}") from None
+        adj = tuple(_iterable(self.adj, "adjacency must be a sequence of rows"))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         if len(adj) != n:
@@ -144,12 +152,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         n = _integer(n, "vertex count", 0)
-        try:
-            edges = iter(edges)
-        except TypeError:
-            raise DomainError(f"edges must be an iterable of pairs, got {edges!r}") from None
         adj = [0] * n
-        for edge in edges:
+        for edge in _iterable(edges, "edges must be an iterable of pairs"):
             try:
                 u, v = edge
             except (TypeError, ValueError):

@@ -18,14 +18,16 @@ complete the selection within degree d.
 Both return the same value and the same witness: subsets are explored in
 increasing numeric bitset order, so the reported witness is always the
 numerically smallest optimal subset and certificates compare bit-for-bit
-across routes and runs.
+across routes and runs.  _replay_subdim and _replay_dim are the one place
+that decides whether a certificate is valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Graph, _check_subset, _integer, subsets_of_mask, subsets_of_size
+from .core import (Graph, _check_subset, _integer, max_degree_within, subsets_of_mask,
+                   subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -43,9 +45,9 @@ __all__ = [
 class SubdimCertificate:
     """Value of the inner minimum plus the subset achieving it.
 
-    witness_min has exactly floor(host_size/2) + 1 vertices and its induced
-    maximum degree equals value; replaying it through max_degree_within
-    proves the upper direction of the bound.
+    witness_min has exactly floor(host_size/2) + 1 vertices of the host and
+    its induced maximum degree equals value; _replay_subdim checks both,
+    which proves subdim of the host <= value.
     """
 
     value: int
@@ -57,8 +59,9 @@ class SubdimCertificate:
 class DimCertificate:
     """Value of the outer maximum plus the host subset achieving it.
 
-    inner is the certificate for the maximizing host, so the pair proves
-    the lower direction; inner is None only for the empty graph.
+    inner is the certificate for the maximizing host; _replay_dim checks it
+    and the oracle's subdim of that host, which proves dim >= value.  inner
+    is None only for the empty graph.
     """
 
     value: int
@@ -175,6 +178,15 @@ def _subdim_scan(g: Graph, subset: int, s: int, start: int) -> tuple[int, int]:
         d += 1
 
 
+def _majority(g: Graph, host: int) -> tuple[int, int]:
+    """The size m of a checked nonempty host and its majority size m // 2 + 1."""
+    _check_subset(g, host)
+    if host == 0:
+        raise DomainError("sub-dimension of an empty host is undefined")
+    m = host.bit_count()
+    return m, m // 2 + 1
+
+
 def subdim(g: Graph, subset: int) -> SubdimCertificate:
     """Minimum induced max degree over majority-size subsets of the host.
 
@@ -183,11 +195,7 @@ def subdim(g: Graph, subset: int) -> SubdimCertificate:
     the linear scan beats binary search in practice.  Uncapped by design,
     like subdim_exists, whose docstring says who checks the cap.
     """
-    _check_subset(g, subset)
-    if subset == 0:
-        raise DomainError("sub-dimension of an empty host is undefined")
-    m = subset.bit_count()
-    s = m // 2 + 1
+    m, s = _majority(g, subset)
     value, witness = _subdim_scan(g, subset, s, 0)
     return SubdimCertificate(value=value, witness_min=witness, host_size=m)
 
@@ -203,11 +211,7 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
     s-vertex set, so the witness is the first candidate that reaches the
     minimum.
     """
-    _check_subset(g, subset)
-    if subset == 0:
-        raise DomainError("sub-dimension of an empty host is undefined")
-    m = subset.bit_count()
-    s = m // 2 + 1
+    m, s = _majority(g, subset)
     adj = g.adj
     best = s
     best_witness = None
@@ -304,3 +308,32 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
                                                    host_size=size)
                 settled.append(grown(witness))
     return DimCertificate(value=best, witness_max=best_host, inner=best_inner)
+
+
+def _replay_subdim(g: Graph, cert: SubdimCertificate, host: int) -> dict:
+    """The replay of a subdim certificate for `host`, through max_degree_within.
+
+    ok when the witness is a subset of the host with exactly |host| // 2 + 1
+    members, host_size is |host| and the witness's induced max degree is
+    value; that proves subdim(g, host) <= value.
+    """
+    m, s = _majority(g, host)
+    delta = max_degree_within(g, cert.witness_min)
+    ok = (not cert.witness_min & ~host and cert.witness_min.bit_count() == s
+          and cert.host_size == m and delta == cert.value)
+    return {"witness_max_degree": delta, "ok": ok}
+
+
+def _replay_dim(g: Graph, cert: DimCertificate) -> dict:
+    """The replay of a dim certificate with an inner certificate.
+
+    ok when the inner certificate replays for witness_max and its value,
+    the brute-force oracle's subdim of witness_max and value agree; that
+    proves dim(g) >= value.  The oracle, not the branch and bound that found
+    the certificate, visits C(m, m // 2 + 1) subsets for m = |witness_max|.
+    """
+    inner = _replay_subdim(g, cert.inner, cert.witness_max)
+    recomputed = subdim_naive(g, cert.witness_max).value
+    return {"witness_max_degree": inner["witness_max_degree"],
+            "subdim_of_witness_max": recomputed,
+            "ok": inner["ok"] and cert.inner.value == recomputed == cert.value}

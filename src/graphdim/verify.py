@@ -37,7 +37,7 @@ from .coloring import (
     is_proper,
 )
 from .core import Graph, _integer, bits_of, encode_graph6, hypercube_graph, max_degree_within
-from .dimension import _dim_search, dim_exact, subdim, subdim_naive
+from .dimension import _dim_search, _replay_subdim, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
 from .inputs import load_input, parse_cayley_spec
@@ -294,7 +294,8 @@ def suite_identity(cap: int | None = None) -> tuple[dict, list[dict]]:
 
 def suite_oracle(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Branch-and-bound solver against the brute-force oracle: identical
-    certificates on the family graphs and on seeded random graphs."""
+    certificates on the family graphs and on seeded random graphs, each
+    replayed by _replay_subdim."""
     rng = random.Random(_IDENTITY_SEED + 1)
     instances = []
 
@@ -303,7 +304,7 @@ def suite_oracle(cap: int | None = None) -> tuple[dict, list[dict]]:
         slow = subdim_naive(g, g.vertex_mask)
         instances.append({"case": case, "got": fast.value, "want": slow.value,
                           "witness_match": fast == slow,
-                          "ok": fast == slow})
+                          "ok": fast == slow and _replay_subdim(g, slow, g.vertex_mask)["ok"]})
 
     for spec, _, _ in _FAMILY_CASES:
         check(spec, load_input(spec, cap=DEFAULT_CAP)[0])

@@ -70,3 +70,12 @@ def test_public_namespace_is_unchanged():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=subprocess_env(), check=True)
     assert json.loads(proc.stdout) == _PUBLIC
+
+
+def test_cli_imports_no_checking_primitive():
+    # certificates are replayed in dimension alone, so a field added to them
+    # is checked in one place
+    tree = ast.parse(inspect.getsource(importlib.import_module("graphdim.cli")))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"max_degree_within", "subdim_naive"}

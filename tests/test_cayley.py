@@ -90,6 +90,12 @@ def test_constructors_take_integers_exactly():
                  id="add-negative"),
     pytest.param(lambda: AbelianGroup((2, 2)).neg(7), "element id 7 out of range",
                  id="neg-high"),
+    pytest.param(lambda: AbelianGroup(5), "orders must be a sequence of cyclic orders, got 5",
+                 id="group-int"),
+    pytest.param(lambda: AbelianGroup((3,)).encode(5),
+                 "element must be a sequence of coordinates, got 5", id="encode-int"),
+    pytest.param(lambda: GeneratorSet(5), "generators must be an iterable of element ids, got 5",
+                 id="generators-int"),
 ])
 def test_group_refusals(call, message):
     with pytest.raises(DomainError, match=message):

@@ -12,7 +12,7 @@ import pytest
 
 from graphdim import cli, dimension, inputs
 from graphdim.cli import cmd_compute
-from graphdim.coloring import is_proper
+from graphdim.coloring import Coloring, is_proper
 from graphdim.core import (cycle_graph, encode_graph6, hypercube_graph, max_degree_within,
                            mask_of, parse_edge_list, parse_graph6)
 from graphdim.errors import CapExceeded, DomainError, ParseError
@@ -60,6 +60,12 @@ def test_compute_all_sections_and_certificates_replay():
     w = mask_of(results["dim"]["inner"]["witness_min"])
     assert max_degree_within(g, w) == results["dim"]["value"]
     assert is_proper(g, results["chi"]["colors"])
+
+
+def test_chi_entry_refuses_an_improper_coloring():
+    g = cycle_graph(5)
+    entry = cli._chi_entry(g, 2, Coloring((0, 0, 1, 0, 1)))
+    assert entry["replay"] == {"proper": False, "palette_size": 2, "ok": False}
 
 
 def test_compute_cayley_input():

@@ -73,6 +73,13 @@ def test_coloring_keeps_a_tuple_of_colors():
                  "outside the graph", id="chromatic_number_within-negative"),
     pytest.param(lambda: critical_subgraph(Graph(0, ())), "empty graph",
                  id="critical_subgraph-empty"),
+    pytest.param(lambda: is_proper(cycle_graph(5), 5),
+                 "colors must be a sequence of color ids, got 5", id="is_proper-int"),
+    pytest.param(lambda: is_proper(cycle_graph(5), [[0]] * 5),
+                 r"colors must be a sequence of color ids, got \(\[0\],",
+                 id="is_proper-unhashable"),
+    pytest.param(lambda: greedy_coloring(cycle_graph(5), 5),
+                 "order must be a permutation of 0..n-1, got 5", id="greedy_coloring-int"),
 ])
 def test_coloring_refusals(call, message):
     with pytest.raises(DomainError, match=message):

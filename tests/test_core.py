@@ -129,6 +129,7 @@ _Z23 = AbelianGroup((2, 3))
 @pytest.mark.parametrize("call,message", [
     (lambda: mask_of([1.5]), "vertex id must be an integer, got 1.5"),
     (lambda: mask_of(["1"]), "vertex id must be an integer, got '1'"),
+    (lambda: mask_of(5), "vertices must be an iterable of vertex ids, got 5"),
     (lambda: bits_of(1.5), "vertex set must be an integer, got 1.5"),
     (lambda: bits_of("1"), "vertex set must be an integer, got '1'"),
     (lambda: next(subsets_of_size(4, 1.5)), "subset size must be an integer, got 1.5"),
@@ -146,7 +147,7 @@ _Z23 = AbelianGroup((2, 3))
     (lambda: graphdim.decomposition_round_bound("3"), "vertex count must be an integer, got '3'"),
     (lambda: graphdim.chromatic_bound_from_dim(1.5, 4), "dim value must be an integer, got 1.5"),
     (lambda: graphdim.chromatic_bound_from_dim(1, 4.0), "vertex count must be an integer, got 4.0"),
-], ids=["mask-float", "mask-str", "bits-float", "bits-str", "subsets-s", "subsets-n",
+], ids=["mask-float", "mask-str", "mask-int", "bits-float", "bits-str", "subsets-s", "subsets-n",
         "subsets-of-mask-s", "subsets-of-mask-set", "exists-size", "exists-degree",
         "translate-set", "translate-element", "decode", "add", "ceil-log2", "round-bound",
         "round-bound-str", "chi-bound-dim", "chi-bound-n"])
@@ -690,6 +691,8 @@ _C5 = cycle_graph(5)
                  "perm entry must be an integer, got None", id="relabel-non-integer"),
     pytest.param(lambda: relabel(_C5, [0.0, 1, 2, 3, 4]), DomainError,
                  "perm entry must be an integer, got 0.0", id="relabel-float"),
+    pytest.param(lambda: relabel(_C5, 5), DomainError,
+                 "perm must be a permutation of 0..n-1, got 5", id="relabel-int"),
     pytest.param(lambda: parse_edge_list("-1\n"), ParseError, "vertex count must be >= 0",
                  id="edge-list-negative-count"),
     pytest.param(lambda: parse_edge_list("3\n0 x\n"), ParseError, "non-integer endpoint",

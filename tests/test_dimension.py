@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import random
@@ -6,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphdim import dimension
+from graphdim import cli, dimension
 from graphdim.core import (
     Graph,
     bits_of,
@@ -25,7 +26,10 @@ from graphdim.core import (
 from graphdim.cli import cmd_compute
 from graphdim.coloring import chromatic_number
 from graphdim.dimension import (
+    DimCertificate,
     SubdimCertificate,
+    _replay_dim,
+    _replay_subdim,
     dim_exact,
     subdim,
     subdim_exists,
@@ -601,3 +605,74 @@ def test_half_witness_hypercube3():
     assert w.bit_count() == 5
     assert max_degree_within(g, w) == 2
     assert subdim_exists(g, g.vertex_mask, 5, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# certificate replays
+# ---------------------------------------------------------------------------
+
+_P6 = path_graph(6)  # subdim(V) = 1, witness {0, 1, 3, 4}
+_K23 = complete_bipartite_graph(2, 3)  # dim 2, host {0, 1, 2, 3}, inner witness {0, 1, 2}
+
+
+def test_reported_certificates_replay_ok():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
+        host = rng.getrandbits(n) or g.vertex_mask
+        for cert in (subdim(g, host), subdim_naive(g, host)):
+            assert _replay_subdim(g, cert, host) == {
+                "witness_max_degree": cert.value, "ok": True}
+        cert = dim_exact(g)
+        assert _replay_dim(g, cert) == {"witness_max_degree": cert.value,
+                                        "subdim_of_witness_max": cert.value, "ok": True}
+
+
+@pytest.mark.parametrize("host,cert", [
+    pytest.param(_P6.vertex_mask, SubdimCertificate(1, mask_of([0, 1, 3]), 6),
+                 id="one-vertex-short"),
+    pytest.param(_P6.vertex_mask, SubdimCertificate(0, 0, 6), id="empty-witness"),
+    pytest.param(mask_of([0, 1, 2, 3]), SubdimCertificate(1, mask_of([0, 1, 5]), 4),
+                 id="vertex-outside-host"),
+    pytest.param(_P6.vertex_mask, SubdimCertificate(0, mask_of([0, 1, 3, 4]), 6),
+                 id="value-below-delta"),
+    pytest.param(_P6.vertex_mask, SubdimCertificate(1, mask_of([0, 1, 3, 4]), 5),
+                 id="wrong-host-size"),
+])
+def test_subdim_replay_refuses_a_planted_certificate(host, cert):
+    assert _replay_subdim(_P6, cert, host)["ok"] is False
+
+
+_K23_DIM = dim_exact(_K23)
+_K23_OUTSIDE = dataclasses.replace(  # inner witness {0, 1, 4}: same size and max degree
+    _K23_DIM, inner=dataclasses.replace(_K23_DIM.inner, witness_min=mask_of([0, 1, 4])))
+
+
+@pytest.mark.parametrize("g,cert", [
+    pytest.param(_P6, DimCertificate(1, _P6.vertex_mask,
+                                     SubdimCertificate(2, mask_of([0, 1, 3, 4]), 6)),
+                 id="inner-value"),
+    pytest.param(_P6, DimCertificate(1, _P6.vertex_mask,
+                                     SubdimCertificate(1, mask_of([0, 1, 3, 4]), 5)),
+                 id="inner-host-size"),
+    pytest.param(_K23, _K23_OUTSIDE, id="inner-witness-outside-host"),
+    pytest.param(_P6, DimCertificate(2, _P6.vertex_mask,
+                                     SubdimCertificate(2, mask_of([0, 1, 2, 3]), 6)),
+                 id="value-above-oracle"),
+])
+def test_dim_replay_refuses_a_planted_certificate(g, cert):
+    assert _replay_dim(g, cert)["ok"] is False
+    assert cli._dim_entry(g, cert)["replay"]["ok"] is False
+
+
+def test_the_planted_dim_certificates_start_from_a_good_one():
+    assert _K23_DIM == DimCertificate(2, mask_of([0, 1, 2, 3]),
+                                      SubdimCertificate(2, mask_of([0, 1, 2]), 4))
+    assert max_degree_within(_K23, mask_of([0, 1, 4])) == 2
+    assert _replay_dim(_K23, _K23_DIM)["ok"] is True
+
+
+def test_replays_refuse_an_empty_host():
+    with pytest.raises(DomainError, match="empty host"):
+        _replay_subdim(_P6, SubdimCertificate(0, 0, 0), 0)

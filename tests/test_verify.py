@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -171,6 +172,20 @@ def test_sweep_suites_pass_at_small_cap(name):
 def test_oracle_suite_passes_small():
     report = run_suite("oracle")
     assert report["ok"] is True and report["failures"] == 0
+
+
+def test_oracle_suite_fails_a_witness_that_is_not_a_majority(monkeypatch):
+    # both routes agree on a witness one vertex short, so only its replay refuses it
+    def short(g, subset):
+        cert = subdim_naive(g, subset)
+        return dataclasses.replace(cert, witness_min=cert.witness_min & (cert.witness_min - 1))
+
+    monkeypatch.setattr(verify, "subdim", short)
+    monkeypatch.setattr(verify, "subdim_naive", short)
+    report = run_suite("oracle")
+    assert report["ok"] is False
+    assert all(inst["witness_match"] for inst in report["instances"])
+    assert report["failures"] == report["checked"]
 
 
 def test_examples_suite_content():
