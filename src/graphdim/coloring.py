@@ -186,7 +186,7 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
 
 def chromatic_number_within(g: Graph, subset: int, cap: int | None = None) -> int:
     """Chromatic number of the subgraph induced by `subset` (value only)."""
-    _check_subset(g, subset)
+    subset = _check_subset(g, subset)
     require_within_cap(g.n, cap, "chromatic_number_within")
     return _chromatic(g.adj, _degree_order(g.adj, bits_of(subset)))[0]
 
@@ -206,7 +206,12 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
     if g.n == 0:
         raise DomainError("critical subgraph of the empty graph is undefined")
     order = _degree_order(g.adj, range(g.n))
-    target = _chromatic(g.adj, order)[0]
+    return _critical(g, order, _chromatic(g.adj, order)[0])
+
+
+def _critical(g: Graph, order: list[int], target: int) -> int:
+    """critical_subgraph for n >= 1, given the degree order of V and
+    target = chi(g)."""
     subset = g.vertex_mask
     for v in range(g.n):
         smaller = subset ^ (1 << v)

@@ -187,9 +187,12 @@ class Graph:
                 yield v, u
 
 
-def _check_subset(g: Graph, subset: int) -> None:
-    if _integer(subset, "vertex set") & ~g.vertex_mask:
+def _check_subset(g: Graph, subset: int) -> int:
+    """subset as an int by _integer, refused unless it lies within g's vertices."""
+    subset = _integer(subset, "vertex set")
+    if subset & ~g.vertex_mask:
         raise DomainError("vertex set mentions vertices outside the graph")
+    return subset
 
 
 def _induced_max_degree(adj, subset: int) -> int:
@@ -207,13 +210,12 @@ def _induced_max_degree(adj, subset: int) -> int:
 
 def max_degree_within(g: Graph, subset: int) -> int:
     """Maximum degree of the induced subgraph; 0 for empty or singleton sets."""
-    _check_subset(g, subset)
-    return _induced_max_degree(g.adj, subset)
+    return _induced_max_degree(g.adj, _check_subset(g, subset))
 
 
 def induced_subgraph(g: Graph, subset: int) -> Graph:
     """Standalone copy of the induced subgraph, vertices relabeled to 0..k-1."""
-    _check_subset(g, subset)
+    subset = _check_subset(g, subset)
     members = bits_of(subset)
     index = {v: i for i, v in enumerate(members)}
     adj = tuple(sum(1 << index[u] for u in bits_of(g.adj[v] & subset)) for v in members)

@@ -113,7 +113,7 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     decomposition_coloring, dim_via_transitivity; load_input for the CLI)
     check the cap before they call either, and a direct caller owns that check.
     """
-    _check_subset(g, subset)
+    subset = _check_subset(g, subset)
     s, d = _integer(s, "target size", 0, subset.bit_count()), _integer(d, "degree bound")
     if d < 0:
         return None
@@ -178,13 +178,14 @@ def _subdim_scan(g: Graph, subset: int, s: int, start: int) -> tuple[int, int]:
         d += 1
 
 
-def _majority(g: Graph, host: int) -> tuple[int, int]:
-    """The size m of a checked nonempty host and its majority size m // 2 + 1."""
-    _check_subset(g, host)
+def _majority(g: Graph, host: int) -> tuple[int, int, int]:
+    """A nonempty host as checked by _check_subset, its size m and its
+    majority size m // 2 + 1."""
+    host = _check_subset(g, host)
     if host == 0:
         raise DomainError("sub-dimension of an empty host is undefined")
     m = host.bit_count()
-    return m, m // 2 + 1
+    return host, m, m // 2 + 1
 
 
 def subdim(g: Graph, subset: int) -> SubdimCertificate:
@@ -195,7 +196,7 @@ def subdim(g: Graph, subset: int) -> SubdimCertificate:
     the linear scan beats binary search in practice.  Uncapped by design,
     like subdim_exists, whose docstring says who checks the cap.
     """
-    m, s = _majority(g, subset)
+    subset, m, s = _majority(g, subset)
     value, witness = _subdim_scan(g, subset, s, 0)
     return SubdimCertificate(value=value, witness_min=witness, host_size=m)
 
@@ -211,7 +212,7 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
     s-vertex set, so the witness is the first candidate that reaches the
     minimum.
     """
-    m, s = _majority(g, subset)
+    subset, m, s = _majority(g, subset)
     adj = g.adj
     best = s
     best_witness = None
@@ -317,7 +318,7 @@ def _replay_subdim(g: Graph, cert: SubdimCertificate, host: int) -> dict:
     members, host_size is |host| and the witness's induced max degree is
     value; that proves subdim(g, host) <= value.
     """
-    m, s = _majority(g, host)
+    host, m, s = _majority(g, host)
     delta = max_degree_within(g, cert.witness_min)
     ok = (not cert.witness_min & ~host and cert.witness_min.bit_count() == s
           and cert.host_size == m and delta == cert.value)

@@ -69,6 +69,7 @@ def unit_distance_embed(g: Graph, col: Coloring) -> Embedding:
     # fifth to the import time of the whole package
     from fractions import Fraction
 
+    _check_coloring(col)
     if len(col.colors) != g.n:
         raise DomainError(f"coloring covers {len(col.colors)} vertices, graph has {g.n}")
     if not is_proper(g, col.colors):
@@ -174,6 +175,7 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     Raises DomainError for a malformed embedding, as verify_embedding does.
     """
     points = _checked_points(emb)[1]
+    _check_coloring(col)
     if len(col.colors) != len(points):
         raise DomainError("coloring and embedding cover different vertex counts")
     lines = []
@@ -183,16 +185,24 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_coloring(col: Coloring) -> None:
+    """Refuse a coloring of another class with DomainError."""
+    if not isinstance(col, Coloring):
+        raise DomainError(f"coloring must be a Coloring, got {col!r}")
+
+
 def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:
     """(ambient_dim, points as a tuple of tuples) of an embedding, checked.
 
-    Raises DomainError for an ambient_dim that is not an integer >= 0,
-    points that are not a sequence of coordinate sequences, a point that
-    does not have ambient_dim coordinates, or a coordinate that is not an
-    int or a Fraction.
+    Raises DomainError for an object that is not an Embedding, an
+    ambient_dim that is not an integer >= 0, points that are not a sequence
+    of coordinate sequences, a point that does not have ambient_dim
+    coordinates, or a coordinate that is not an int or a Fraction.
     """
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
+    if not isinstance(emb, Embedding):
+        raise DomainError(f"embedding must be an Embedding, got {emb!r}")
     d = _integer(emb.ambient_dim, "ambient_dim", 0)
     try:
         points = tuple(map(tuple, emb.points))

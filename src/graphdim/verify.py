@@ -8,9 +8,13 @@ graph on up to six vertices; redundancy across isomorphic graphs is
 deliberate, since it needs no canonization and each instance stays
 independently replayable.  The sweep suites share one cached sweep that
 checks its size first, then enumerates each graph and computes its
-invariants once.  Every capped call passes an explicit cap (the checked
-graph's size, or DEFAULT_CAP for loading the family specs), so GRAPHDIM_CAP
-never changes a report.  All randomness is seeded.
+invariants once.  It reads chi and dim of each n-vertex graph from its n
+one-vertex-deleted minors, records of the (n - 1) sweep: every proper host
+lies in some V - v, so dim(G) = max(subdim(G, V), max_v dim(G - v)), and
+chi(G - v) <= chi(G) <= chi(G - v) + 1, so one chromatic decision settles
+chi.  Every capped call passes an explicit cap (the checked graph's size,
+or DEFAULT_CAP for loading the family specs), so GRAPHDIM_CAP never
+changes a report.  All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from .cayley import (
     translate,
 )
 from .coloring import (
+    _color_decision,
+    _critical,
     _decompose,
+    _degree_order,
     chromatic_bound_from_dim,
     chromatic_number,
     chromatic_number_within,
-    critical_subgraph,
     decomposition_round_bound,
     is_proper,
 )
@@ -79,12 +85,35 @@ def _labeled_graphs(n: int):
 
 @lru_cache(maxsize=8)
 def _sweep_stats(n: int) -> list[tuple]:
-    """(graph, graph6, chi, subdim certificate of V, dim) of each labeled n-vertex graph."""
+    """(graph, graph6, chi, subdim certificate of V, dim) of each labeled
+    n-vertex graph, for n >= 1, read from its n one-vertex-deleted minors.
+
+    Every G - v, relabeled in order, is a record of the (n - 1) sweep (the
+    empty graph, with chi = dim = 0, for n = 1).  Every nonempty proper
+    vertex set lies in some V - v, so dim(G) = max(subdim(G, V),
+    max_v dim(G - v)).  Deleting a vertex lowers chi by at most one, so with
+    m = max_v chi(G - v), m <= chi(G) <= m + 1 and one decision at m
+    settles it.
+    """
+    minors = ({(): (0, 0)} if n == 1 else
+              {g.adj: (chi, dim_value) for g, _, chi, _, dim_value in _sweep_stats(n - 1)})
     out = []
     for g in enumerate_labeled_graphs(n):
+        adj = g.adj
+        chi = dim_value = 0
+        for v in range(n):
+            lo = (1 << v) - 1  # rows keep their bits below v and shift those above it
+            hi = ~lo
+            minor_chi, minor_dim = minors[tuple([r & lo | r >> 1 & hi
+                                                 for r in adj[:v] + adj[v + 1:]])]
+            if minor_chi > chi:
+                chi = minor_chi
+            if minor_dim > dim_value:
+                dim_value = minor_dim
+        if _color_decision(adj, _degree_order(adj, range(n)), chi) is None:
+            chi += 1
         full = subdim(g, g.vertex_mask)
-        chi = chromatic_number_within(g, g.vertex_mask, cap=n)
-        out.append((g, encode_graph6(g), chi, full, _dim_search(g, full).value))
+        out.append((g, encode_graph6(g), chi, full, max(full.value, dim_value)))
     return out
 
 
@@ -208,11 +237,13 @@ def suite_theorem2(cap: int | None = None) -> tuple[dict, list[dict]]:
 
 def suite_lemma2(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Critical subgraphs keep the chromatic number and have min degree
-    at least chi - 1, on every labeled graph up to the sweep cap."""
+    at least chi - 1, on every labeled graph up to the sweep cap.  The
+    subgraph is cut down to the sweep's chi, and chromatic_number_within
+    of the result checks that chi."""
     max_n, records = _sweep(cap)
     instances = []
     for g, g6, chi, _, _ in records:
-        core = critical_subgraph(g, cap=g.n)
+        core = _critical(g, _degree_order(g.adj, range(g.n)), chi)
         core_chi = chromatic_number_within(g, core, cap=g.n)
         preserved = core_chi == chi
         degrees_ok = all((g.adj[v] & core).bit_count() >= core_chi - 1 for v in bits_of(core))

@@ -17,6 +17,17 @@ def random_graph(rng, n, p=0.5):
     return Graph.from_edges(n, edges)
 
 
+class Index:
+    """An integer that only operator.index reads, as a numpy integer is:
+    it has no int methods such as bit_count or bit_length."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def subprocess_env(extra=None):
     """os.environ plus `extra`, with the imported graphdim's directory first
     on PYTHONPATH, so that `python -m graphdim` runs the code under test."""

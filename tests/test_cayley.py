@@ -118,6 +118,23 @@ def test_complete_as_cayley_graph():
     assert cayley_graph(AbelianGroup((6,)), GeneratorSet(range(1, 6))) == complete_graph(6)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: cayley_graph(AbelianGroup((5,)), {1, 4}),
+     "generators must be a GeneratorSet, got {1, 4}"),
+    (lambda: cayley_graph((5,), GeneratorSet({1, 4})),
+     "group must be an AbelianGroup, got (5,)"),
+    (lambda: dim_via_transitivity(AbelianGroup((5,)), [1, 4]),
+     "generators must be a GeneratorSet, got [1, 4]"),
+    (lambda: dim_via_transitivity((5,), GeneratorSet({1, 4})),
+     "group must be an AbelianGroup, got (5,)"),
+    (lambda: translate((5,), 1, 1), "group must be an AbelianGroup, got (5,)"),
+], ids=["cayley-set", "cayley-tuple", "transitivity-list", "transitivity-tuple", "translate"])
+def test_arguments_of_another_class_are_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_generator_validation():
     grp = AbelianGroup((5,))
     with pytest.raises(DomainError):

@@ -34,7 +34,7 @@ from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input, parse_cayley_spec
 from graphdim.verify import enumerate_labeled_graphs
 
-from helpers import random_graph
+from helpers import Index, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +714,12 @@ _C5 = cycle_graph(5)
 def test_core_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("call", [max_degree_within, induced_subgraph],
+                         ids=["max_degree_within", "induced_subgraph"])
+def test_vertex_set_is_used_as_the_int_the_guard_read(call):
+    assert call(_C5, Index(0b10111)) == call(_C5, 0b10111)
 
 
 def test_ceil_log2():

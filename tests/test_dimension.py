@@ -37,7 +37,7 @@ from graphdim.dimension import (
 )
 from graphdim.errors import CapExceeded, DomainError
 
-from helpers import random_graph
+from helpers import Index, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +83,20 @@ def test_subdim_empty_host_rejected():
 def test_subdim_refuses_a_host_outside_the_graph(solve, host):
     with pytest.raises(DomainError, match="outside the graph"):
         solve(cycle_graph(5), host)
+
+
+@pytest.mark.parametrize("solve", [
+    subdim, subdim_naive, lambda g, host: subdim_exists(g, host, 3, 1)],
+    ids=["subdim", "subdim_naive", "subdim_exists"])
+def test_subdim_uses_the_host_as_the_int_the_guard_read(solve):
+    g = cycle_graph(5)
+    assert solve(g, Index(0b11111)) == solve(g, 0b11111)
+
+
+def test_replay_uses_the_host_as_the_int_the_guard_read():
+    g = cycle_graph(5)
+    cert = subdim(g, 0b11110)
+    assert _replay_subdim(g, cert, Index(0b11110)) == _replay_subdim(g, cert, 0b11110)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,26 @@ def test_embed_requires_proper_coloring():
         unit_distance_embed(g, Coloring((0,)))
 
 
+_C5_COLORING = Coloring((0, 1, 0, 1, 2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: unit_distance_embed(cycle_graph(5), [0, 1, 0, 1, 2]),
+     "coloring must be a Coloring, got [0, 1, 0, 1, 2]"),
+    (lambda: verify_embedding(cycle_graph(5), [(0, 0)] * 5),
+     "embedding must be an Embedding, got [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0)]"),
+    (lambda: format_embedding([(0, 0)] * 5, _C5_COLORING),
+     "embedding must be an Embedding, got [(0, 0), (0, 0), (0, 0), (0, 0), (0, 0)]"),
+    (lambda: format_embedding(unit_distance_embed(cycle_graph(5), _C5_COLORING),
+                              [0, 1, 0, 1, 2]),
+     "coloring must be a Coloring, got [0, 1, 0, 1, 2]"),
+], ids=["embed-coloring", "verify-embedding", "format-embedding", "format-coloring"])
+def test_arguments_of_another_class_are_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_verifier_flags_bad_edge_length():
     g = complete_graph(2)
     emb = Embedding(2, ((0, 0), (2, 0)))

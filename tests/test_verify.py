@@ -7,7 +7,7 @@ import pytest
 from graphdim import coloring, verify
 from graphdim.coloring import chromatic_number_within
 from graphdim.core import Graph, encode_graph6
-from graphdim.dimension import dim_exact, subdim, subdim_naive
+from graphdim.dimension import _dim_search, subdim, subdim_naive
 from graphdim.errors import CapExceeded, DomainError
 from graphdim.verify import (
     SUITE_NAMES,
@@ -53,16 +53,45 @@ def test_enumeration_checks_its_argument_at_the_call():
 def test_sweep_stats_consistent():
     stats = _sweep_stats(4)
     assert len(stats) == 64
-    for want, (g, g6, chi, full, dim_value) in zip(enumerate_labeled_graphs(4), stats):
+    for want, (g, g6, _, full, _) in zip(enumerate_labeled_graphs(4), stats):
         assert g == want
         assert encode_graph6(g) == g6
-        assert chromatic_number_within(g, g.vertex_mask) == chi
         assert subdim(g, g.vertex_mask) == full
-        assert dim_exact(g).value == dim_value
-    # a fixed sample at n = 5 and 6 against the literal max over hosts
+    # chi and dim, read from the minors, against the exact coloring and the
+    # host loop: every graph with n <= 5, and a fixed sample at n = 6
+    records = [r for n in range(1, 6) for r in _sweep_stats(n)] + _sweep_stats(6)[::97]
+    assert len(records) == 1099 + 338
+    for g, _, chi, full, dim_value in records:
+        assert chi == chromatic_number_within(g, g.vertex_mask)
+        assert dim_value == _dim_search(g, full).value
+    # the samples at n = 5 and 6 against the literal max over hosts
     for n in (5, 6):
         for g, _, _, _, dim_value in _sweep_stats(n)[::97]:
             assert dim_value == max(subdim_naive(g, host).value for host in range(1, 1 << n))
+
+
+def test_sweep_makes_one_chi_decision_and_no_host_loop_per_graph(monkeypatch):
+    decisions = 0
+    real_decision = coloring._color_decision
+
+    def counting_decision(adj, order, k):
+        nonlocal decisions
+        decisions += 1
+        return real_decision(adj, order, k)
+
+    def no_host_loop(g, full):
+        raise AssertionError("the sweep ran the host loop")
+
+    monkeypatch.setattr(verify, "_color_decision", counting_decision)
+    monkeypatch.setattr(coloring, "_color_decision", counting_decision)
+    monkeypatch.setattr(verify, "_dim_search", no_host_loop)
+    _sweep_stats.cache_clear()
+    try:
+        for n in range(1, 5):
+            _sweep_stats(n)
+    finally:
+        _sweep_stats.cache_clear()  # drop records built under the patches
+    assert decisions == 1 + 2 + 8 + 64
 
 
 # sha256 of the compact sorted-key JSON of run_suite(name, cap) plus a newline
