@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .core import Graph, _integer, _iterable, mask_of
+from .core import Graph, _instance, _integer, _iterable, mask_of
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -90,16 +90,9 @@ class GeneratorSet:
         object.__setattr__(self, "elements", frozenset(_integer(e, "generator") for e in elements))
 
 
-def _check_group(grp: AbelianGroup) -> None:
-    """Refuse a group of another class with DomainError."""
-    if not isinstance(grp, AbelianGroup):
-        raise DomainError(f"group must be an AbelianGroup, got {grp!r}")
-
-
 def _check_generators(grp: AbelianGroup, gens: GeneratorSet) -> None:
-    _check_group(grp)
-    if not isinstance(gens, GeneratorSet):
-        raise DomainError(f"generators must be a GeneratorSet, got {gens!r}")
+    _instance(grp, AbelianGroup, "group must be an AbelianGroup")
+    _instance(gens, GeneratorSet, "generators must be a GeneratorSet")
     for s in gens.elements:
         if not 0 <= s < grp.size:
             raise DomainError(f"generator {s} out of range for group of size {grp.size}")
@@ -120,7 +113,7 @@ def translate(grp: AbelianGroup, subset: int, a: int) -> int:
     """Image of a vertex set under addition of the group element a: a digit d
     in a coordinate of order n and stride t rotates every block of t*n ids up
     by d*t, two masked shifts whose low mask repeats (1 << (n-d)*t) - 1."""
-    _check_group(grp)
+    _instance(grp, AbelianGroup, "group must be an AbelianGroup")
     subset = _integer(subset, "vertex set")
     if subset >> grp.size:
         raise DomainError("vertex set mentions ids outside the group")
@@ -145,7 +138,7 @@ def dim_via_transitivity(grp: AbelianGroup, gens: GeneratorSet,
     has max degree at most the witness value.  So no subset beats the full
     set and one subdim call certifies the dimension.
     """
-    _check_group(grp)
+    _instance(grp, AbelianGroup, "group must be an AbelianGroup")
     require_within_cap(grp.size, cap, "dim_via_transitivity")
     g = cayley_graph(grp, gens)
     inner = subdim(g, g.vertex_mask)

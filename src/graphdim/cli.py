@@ -46,6 +46,10 @@ def _dim_entry(g, cert) -> dict:
     return entry
 
 
+def _graph_entry(g) -> dict:
+    return {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
+
+
 def _chi_entry(g, k, col) -> dict:
     proper = is_proper(g, col.colors)
     return {
@@ -82,7 +86,7 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
         raise DomainError(f"unknown --which {which!r}; choose one of {', '.join(_WHICH)}")
     g, descriptor = load_input(spec, cap)
     report = dict(descriptor)
-    report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
+    report["graph"] = _graph_entry(g)
     report["which"] = which
     results = {}
     # subdim of the full vertex set, computed once: the subdim entry, the
@@ -123,7 +127,7 @@ def cmd_embed(spec: str, out_path: str, cap: int | None = None) -> dict:
         fh.write(format_embedding(emb, col))
     report = dict(descriptor)
     report["output"] = out_path
-    report["graph"] = {"n": g.n, "edges": g.edge_count(), "graph6": encode_graph6(g)}
+    report["graph"] = _graph_entry(g)
     report["embedding"] = dict(_embedding_entry(report_obj), palette_size=k)
     return report
 

@@ -205,13 +205,12 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
     require_within_cap(g.n, cap, "critical_subgraph")
     if g.n == 0:
         raise DomainError("critical subgraph of the empty graph is undefined")
+    return _critical(g, _chromatic(g.adj, _degree_order(g.adj, range(g.n)))[0])
+
+
+def _critical(g: Graph, target: int) -> int:
+    """critical_subgraph for n >= 1, given target = chi(g)."""
     order = _degree_order(g.adj, range(g.n))
-    return _critical(g, order, _chromatic(g.adj, order)[0])
-
-
-def _critical(g: Graph, order: list[int], target: int) -> int:
-    """critical_subgraph for n >= 1, given the degree order of V and
-    target = chi(g)."""
     subset = g.vertex_mask
     for v in range(g.n):
         smaller = subset ^ (1 << v)

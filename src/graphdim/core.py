@@ -70,6 +70,14 @@ def _iterable(x, rule: str):
     return x
 
 
+def _instance(x, cls, rule: str):
+    """x itself when it is a cls, the one guard of every argument of a
+    class; anything else is refused with DomainError "{rule}, got {x!r}"."""
+    if not isinstance(x, cls):
+        raise DomainError(f"{rule}, got {x!r}")
+    return x
+
+
 def _permutation(perm, n: int, what: str) -> list[int]:
     """perm as a list of ints, refused unless it is a permutation of 0..n-1."""
     rule = f"{what} must be a permutation of 0..n-1"
@@ -195,8 +203,10 @@ def _check_subset(g: Graph, subset: int) -> int:
     return subset
 
 
-def _induced_max_degree(adj, subset: int) -> int:
-    """Maximum degree of the subgraph induced by `subset`, unchecked."""
+def max_degree_within(g: Graph, subset: int) -> int:
+    """Maximum degree of the induced subgraph; 0 for empty or singleton sets."""
+    subset = _check_subset(g, subset)
+    adj = g.adj
     best = 0
     rest = subset
     while rest:
@@ -206,11 +216,6 @@ def _induced_max_degree(adj, subset: int) -> int:
             best = d
         rest ^= low
     return best
-
-
-def max_degree_within(g: Graph, subset: int) -> int:
-    """Maximum degree of the induced subgraph; 0 for empty or singleton sets."""
-    return _induced_max_degree(g.adj, _check_subset(g, subset))
 
 
 def induced_subgraph(g: Graph, subset: int) -> Graph:

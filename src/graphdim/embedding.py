@@ -17,7 +17,7 @@ from math import gcd
 from operator import methodcaller
 
 from .coloring import Coloring, is_proper
-from .core import Graph, _integer, bits_of
+from .core import Graph, _instance, _integer, bits_of
 from .errors import DomainError
 
 __all__ = [
@@ -69,7 +69,7 @@ def unit_distance_embed(g: Graph, col: Coloring) -> Embedding:
     # fifth to the import time of the whole package
     from fractions import Fraction
 
-    _check_coloring(col)
+    _instance(col, Coloring, "coloring must be a Coloring")
     if len(col.colors) != g.n:
         raise DomainError(f"coloring covers {len(col.colors)} vertices, graph has {g.n}")
     if not is_proper(g, col.colors):
@@ -175,7 +175,7 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     Raises DomainError for a malformed embedding, as verify_embedding does.
     """
     points = _checked_points(emb)[1]
-    _check_coloring(col)
+    _instance(col, Coloring, "coloring must be a Coloring")
     if len(col.colors) != len(points):
         raise DomainError("coloring and embedding cover different vertex counts")
     lines = []
@@ -183,12 +183,6 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
         coords = " ".join(map(str, point))
         lines.append(f"{v} {col.colors[v]} {coords}")
     return "\n".join(lines) + "\n"
-
-
-def _check_coloring(col: Coloring) -> None:
-    """Refuse a coloring of another class with DomainError."""
-    if not isinstance(col, Coloring):
-        raise DomainError(f"coloring must be a Coloring, got {col!r}")
 
 
 def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:
@@ -201,8 +195,7 @@ def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:
     """
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
-    if not isinstance(emb, Embedding):
-        raise DomainError(f"embedding must be an Embedding, got {emb!r}")
+    _instance(emb, Embedding, "embedding must be an Embedding")
     d = _integer(emb.ambient_dim, "ambient_dim", 0)
     try:
         points = tuple(map(tuple, emb.points))

@@ -126,6 +126,11 @@ def _sweep(cap: int | None):
     return max_n, itertools.chain.from_iterable(map(_sweep_stats, range(1, max_n + 1)))
 
 
+def _agreement(case: str, metric: str, got: int, want: int) -> dict:
+    """The instance record of a computed value checked against the expected one."""
+    return {"case": case, "metric": metric, "got": got, "want": want, "ok": got == want}
+
+
 def _suite_report(name: str, parameters: dict, instances: list[dict]) -> dict:
     failures = sum(1 for inst in instances if not inst["ok"])
     return {
@@ -155,17 +160,12 @@ _FAMILY_CASES = (
 def suite_examples(cap: int | None = None) -> tuple[dict, list[dict]]:
     """Closed-form dimension values of the basic families."""
     instances = []
-
-    def check(case: str, metric: str, got: int, want: int):
-        instances.append({"case": case, "metric": metric, "got": got,
-                          "want": want, "ok": got == want})
-
     for spec, want_subdim, want_dim in _FAMILY_CASES:
         g, _ = load_input(spec, cap=DEFAULT_CAP)
         full = subdim(g, g.vertex_mask)
         if want_subdim is not None:
-            check(spec, "subdim", full.value, want_subdim)
-        check(spec, "dim", _dim_search(g, full).value, want_dim)
+            instances.append(_agreement(spec, "subdim", full.value, want_subdim))
+        instances.append(_agreement(spec, "dim", _dim_search(g, full).value, want_dim))
     return {}, instances
 
 
@@ -175,22 +175,18 @@ def suite_theorem1(cap: int | None = None) -> tuple[dict, list[dict]]:
     instances = []
     for n in (1, 2, 3):
         g = hypercube_graph(n)
-        got, want = dim_exact(g, cap=g.n).value, math.isqrt(n - 1) + 1
-        instances.append({"case": f"cube:{n}", "metric": "dim_exact",
-                          "got": got, "want": want, "ok": got == want})
+        instances.append(_agreement(f"cube:{n}", "dim_exact", dim_exact(g, cap=g.n).value,
+                                    math.isqrt(n - 1) + 1))
     grp = AbelianGroup((2,) * 4)
     gens = GeneratorSet({1 << i for i in range(4)})
     cert = dim_via_transitivity(grp, gens, cap=grp.size)
-    instances.append({"case": "cube:4", "metric": "dim_via_transitivity",
-                      "got": cert.value, "want": 2, "ok": cert.value == 2})
-    q4 = hypercube_graph(4)
     witness = cert.inner.witness_min
-    size = witness.bit_count()
-    delta = max_degree_within(q4, witness)
-    instances.append({"case": "cube:4", "metric": "half_witness_size",
-                      "got": size, "want": 9, "ok": size == 9})
-    instances.append({"case": "cube:4", "metric": "half_witness_delta",
-                      "got": delta, "want": 2, "ok": delta == 2})
+    instances += [
+        _agreement("cube:4", "dim_via_transitivity", cert.value, 2),
+        _agreement("cube:4", "half_witness_size", witness.bit_count(), 9),
+        _agreement("cube:4", "half_witness_delta",
+                   max_degree_within(hypercube_graph(4), witness), 2),
+    ]
     return {}, instances
 
 
@@ -211,8 +207,7 @@ def suite_prop1(cap: int | None = None) -> tuple[dict, list[dict]]:
         grp, gens = parse_cayley_spec(case[len("cayley:"):])
         shortcut = dim_via_transitivity(grp, gens, cap=grp.size).value
         exhaustive = dim_exact(cayley_graph(grp, gens), cap=grp.size).value
-        instances.append({"case": case, "metric": "dim", "got": shortcut,
-                          "want": exhaustive, "ok": shortcut == exhaustive})
+        instances.append(_agreement(case, "dim", shortcut, exhaustive))
     return {}, instances
 
 
@@ -243,7 +238,7 @@ def suite_lemma2(cap: int | None = None) -> tuple[dict, list[dict]]:
     max_n, records = _sweep(cap)
     instances = []
     for g, g6, chi, _, _ in records:
-        core = _critical(g, _degree_order(g.adj, range(g.n)), chi)
+        core = _critical(g, chi)
         core_chi = chromatic_number_within(g, core, cap=g.n)
         preserved = core_chi == chi
         degrees_ok = all((g.adj[v] & core).bit_count() >= core_chi - 1 for v in bits_of(core))

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import json
+import pathlib
 import subprocess
 import sys
 import types
@@ -79,3 +80,20 @@ def test_cli_imports_no_checking_primitive():
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"max_degree_within", "subdim_naive"}
+
+
+def _isinstance_uses(node, where):
+    """The enclosing scope, as module.function, of each mention of isinstance."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where}.{node.name}"
+    if isinstance(node, ast.Name) and node.id == "isinstance":
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _isinstance_uses(child, where)
+
+
+def test_isinstance_is_called_only_in_the_class_guard():
+    # "what class an argument must be" is stated once, in core._instance
+    uses = [where for path in sorted(pathlib.Path(graphdim.__file__).parent.glob("*.py"))
+            for where in _isinstance_uses(ast.parse(path.read_text()), path.stem)]
+    assert uses == ["core._instance"]
