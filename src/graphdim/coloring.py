@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Graph, _check_subset, _integer, _permutation, bits_of, ceil_log2
+from .core import Graph, _check_subset, _instance, _integer, _permutation, bits_of, ceil_log2
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -73,6 +73,7 @@ def is_proper(g: Graph, colors) -> bool:
     of every edge different labels: one bitset per color class, and no
     vertex may have a neighbour in its own class.  This is the replay of a
     coloring certificate; colors that are not such labels raise DomainError."""
+    _instance(g, Graph, "graph must be a Graph")
     colors = _labels(colors)
     if len(colors) != g.n:
         return False
@@ -89,6 +90,7 @@ def greedy_coloring(g: Graph, order) -> Coloring:
     """First-fit coloring along the given vertex order (a permutation of V),
     run as _color_decision with a palette of n colors.  Uses at most
     max_degree(g) + 1 colors, with no gaps in the palette."""
+    _instance(g, Graph, "graph must be a Graph")
     return Coloring(_colors(g.n, _color_decision(g.adj, _permutation(order, g.n, "order"), g.n)))
 
 
@@ -179,6 +181,7 @@ def chromatic_number(g: Graph, cap: int | None = None) -> tuple[int, Coloring]:
     degree order decides each palette size upward from it; when no palette
     smaller than first-fit's works, the coloring is first-fit's own.
     """
+    _instance(g, Graph, "graph must be a Graph")
     require_within_cap(g.n, cap, "chromatic_number")
     k, classes = _chromatic(g.adj, _degree_order(g.adj, range(g.n)))
     return k, Coloring(_colors(g.n, classes))
@@ -202,6 +205,7 @@ def critical_subgraph(g: Graph, cap: int | None = None) -> int:
     dropping v keeps it iff the rest has no proper (target - 1)-coloring:
     one decision per vertex, along the global degree order of the rest.
     """
+    _instance(g, Graph, "graph must be a Graph")
     require_within_cap(g.n, cap, "critical_subgraph")
     if g.n == 0:
         raise DomainError("critical subgraph of the empty graph is undefined")
@@ -232,6 +236,7 @@ def decomposition_coloring(g: Graph, cap: int | None = None
     Uses at most (dim(g) + 1) * max(1, ceil(log2 n)) colors in at most
     max(1, ceil(log2 n)) rounds.
     """
+    _instance(g, Graph, "graph must be a Graph")
     require_within_cap(g.n, cap, "decomposition_coloring")
     if g.n == 0:
         raise DomainError("decomposition coloring of the empty graph is undefined")

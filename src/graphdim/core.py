@@ -196,7 +196,9 @@ class Graph:
 
 
 def _check_subset(g: Graph, subset: int) -> int:
-    """subset as an int by _integer, refused unless it lies within g's vertices."""
+    """subset as an int by _integer, refused unless g is a Graph and subset
+    lies within its vertices."""
+    _instance(g, Graph, "graph must be a Graph")
     subset = _integer(subset, "vertex set")
     if subset & ~g.vertex_mask:
         raise DomainError("vertex set mentions vertices outside the graph")
@@ -229,6 +231,7 @@ def induced_subgraph(g: Graph, subset: int) -> Graph:
 
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the vertex permutation v -> perm[v]."""
+    _instance(g, Graph, "graph must be a Graph")
     perm = _permutation(perm, g.n, "perm")
     return Graph.from_edges(g.n, ((perm[u], perm[v]) for u, v in g.edges()))
 
@@ -312,6 +315,7 @@ def format_edge_list(g: Graph) -> str:
     from a table of vertex names by the row's binary digits and joined into
     that row's block of lines; a row costs the bit length of its part above
     v, so sparse graphs stay linear in n + m."""
+    _instance(g, Graph, "graph must be a Graph")
     names = [str(v) for v in range(g.n)]
     blocks = [str(g.n)]
     for v, row in enumerate(g.adj):
@@ -399,6 +403,7 @@ def parse_graph6(text: str) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Encode to graph6, bit-exact with the standard format: column j of the
     bit string is the j bits of adj[j] below j, lowest vertex first."""
+    _instance(g, Graph, "graph must be a Graph")
     n = g.n
     if n > _G6_MAX_N:
         raise DomainError(f"graph6 encoding supports n <= {_G6_MAX_N}")

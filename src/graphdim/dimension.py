@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Graph, _check_subset, _integer, max_degree_within, subsets_of_mask,
-                   subsets_of_size)
+from .core import (Graph, _check_subset, _instance, _integer, max_degree_within,
+                   subsets_of_mask, subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -258,6 +258,7 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     order of decreasing size and then ascending mask, that reached the final
     value.
     """
+    _instance(g, Graph, "graph must be a Graph")
     require_within_cap(g.n, cap, "dim_exact")
     if g.n == 0:
         return DimCertificate(value=0, witness_max=0, inner=None)

@@ -69,6 +69,7 @@ def unit_distance_embed(g: Graph, col: Coloring) -> Embedding:
     # fifth to the import time of the whole package
     from fractions import Fraction
 
+    _instance(g, Graph, "graph must be a Graph")
     _instance(col, Coloring, "coloring must be a Coloring")
     if len(col.colors) != g.n:
         raise DomainError(f"coloring covers {len(col.colors)} vertices, graph has {g.n}")
@@ -113,6 +114,7 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     """
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
+    _instance(g, Graph, "graph must be a Graph")
     d, points = _checked_points(emb)
     if len(points) != g.n:
         raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")

@@ -9,7 +9,10 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import graphdim
+from graphdim import Coloring, DomainError, Embedding
 
 from helpers import subprocess_env
 
@@ -97,3 +100,20 @@ def test_isinstance_is_called_only_in_the_class_guard():
     uses = [where for path in sorted(pathlib.Path(graphdim.__file__).parent.glob("*.py"))
             for where in _isinstance_uses(ast.parse(path.read_text()), path.stem)]
     assert uses == ["core._instance"]
+
+
+# every public function that takes a graph, with valid other arguments
+_GRAPH_ARGUMENTS = [
+    ("subdim", (1,)), ("subdim_exists", (1, 1, 0)), ("subdim_naive", (1,)), ("dim_exact", ()),
+    ("max_degree_within", (1,)), ("induced_subgraph", (1,)), ("relabel", ([0],)),
+    ("encode_graph6", ()), ("format_edge_list", ()),
+    ("chromatic_number", ()), ("chromatic_number_within", (1,)), ("critical_subgraph", ()),
+    ("decomposition_coloring", ()), ("greedy_coloring", ([0],)), ("is_proper", ([0],)),
+    ("unit_distance_embed", (Coloring([0]),)), ("verify_embedding", (Embedding(0, ((),)),)),
+]
+
+
+@pytest.mark.parametrize("name, rest", _GRAPH_ARGUMENTS, ids=[n for n, _ in _GRAPH_ARGUMENTS])
+def test_graph_argument_of_another_class_is_refused(name, rest):
+    with pytest.raises(DomainError, match=r"^graph must be a Graph, got 'x'$"):
+        getattr(graphdim, name)("x", *rest)
