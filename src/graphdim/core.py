@@ -266,6 +266,7 @@ def parse_edge_list(text: str) -> Graph:
     caller bounds the count first (load_input checks it against the cap);
     a count too large to allocate is a ParseError on its line.
     """
+    _instance(text, str, "edge-list text must be a str")
     to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     lines = text.splitlines()
     n = None
@@ -372,7 +373,7 @@ def parse_graph6(text: str) -> Graph:
     range and padding are checked; the rows are symmetric and loop-free by
     construction, so the graph is built unchecked.
     """
-    line = text.strip()
+    line = _instance(text, str, "graph6 text must be a str").strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     try:

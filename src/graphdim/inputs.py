@@ -34,6 +34,7 @@ from .core import (
     Graph,
     _INTEGER,
     _g6_header,
+    _instance,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -60,7 +61,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:
     """Parse 'z:2,2,2;gens=(1,0,0),(0,1,0),(0,0,1)' into a group and generators."""
-    if ";gens=" not in body:
+    if ";gens=" not in _instance(body, str, "cayley spec must be a str"):
         raise ParseError(f"cayley spec {body!r} lacks ';gens='")
     group_part, gens_part = body.split(";gens=", 1)
     if not group_part.startswith("z:"):
@@ -165,7 +166,7 @@ def load_input(spec: str, cap: int | None = None) -> tuple[Graph, dict]:
     """Resolve a family spec or file path into a graph plus a report descriptor,
     refusing one beyond the cap (explicit, else GRAPHDIM_CAP, else 16) before
     anything is built or parsed."""
-    token, sep, body = spec.partition(":")
+    token, sep, body = _instance(spec, str, "input spec must be a str").partition(":")
     if not sep or token not in _FAMILIES:
         return _read_file(spec, cap), {"input": spec, "kind": "file"}
     arity, build, order = _FAMILIES[token]

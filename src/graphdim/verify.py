@@ -42,7 +42,8 @@ from .coloring import (
     decomposition_round_bound,
     is_proper,
 )
-from .core import Graph, _integer, bits_of, encode_graph6, hypercube_graph, max_degree_within
+from .core import (Graph, _instance, _integer, bits_of, encode_graph6, hypercube_graph,
+                   max_degree_within)
 from .dimension import _dim_search, _replay_subdim, dim_exact, subdim, subdim_naive
 from .embedding import unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError
@@ -361,7 +362,7 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cap: int | None = None) -> dict:
-    if name == "all":
+    if _instance(name, str, "suite must be a str") == "all":
         return run_all(cap)
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; known: all, {', '.join(_SUITES)}")

@@ -237,6 +237,17 @@ def test_compute_refuses_an_unknown_which_before_loading():
         parser.parse_args(["compute", "cycle:5", "--which", "bogus"])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: inputs.load_input(None), "input spec must be a str, got None"),
+    (lambda: inputs.load_input(5), "input spec must be a str, got 5"),
+    (lambda: cmd_compute(None, "all"), "input spec must be a str, got None"),
+], ids=["load-none", "load-int", "compute-none"])
+def test_input_spec_of_another_class_is_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_malformed_cayley_spec_exit_2():
     proc = run_cli("compute", "cayley:z:2,2;gens=1", "--which", "dim")
     assert proc.returncode == 2

@@ -283,6 +283,18 @@ def test_parse_edge_list_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_graph6(None), "graph6 text must be a str, got None"),
+    (lambda: parse_edge_list(None), "edge-list text must be a str, got None"),
+    (lambda: parse_edge_list(b"1\n"), "edge-list text must be a str, got b'1\\n'"),
+    (lambda: parse_cayley_spec(None), "cayley spec must be a str, got None"),
+], ids=["graph6-none", "edge-list-none", "edge-list-bytes", "cayley-spec-none"])
+def test_text_of_another_class_is_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_parse_edge_list_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_edge_list("3\n0 1\n0 9")

@@ -170,6 +170,11 @@ def test_run_all_checks_sweep_size_before_any_suite(monkeypatch):
         run_all(0)
 
 
+def test_suite_name_of_another_class_is_refused():
+    with pytest.raises(DomainError, match=r"^suite must be a str, got \['x'\]$"):
+        run_suite(["x"])
+
+
 def test_empty_audit_fails():
     report = verify._suite_report("empty", {}, [])
     assert report["checked"] == 0 and report["ok"] is False
