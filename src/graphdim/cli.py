@@ -152,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
     p_verify.add_argument("--cap", type=int, default=None,
-                          help="theorem2/lemma2/corollary1 sweep size, 1..6 (default 6); above 6 "
-                               "exits 3, below 1 exits 2, before any sweep work; others ignore it")
+                          help="theorem2/lemma2/corollary1 sweep size, 1..6 (default 6); for "
+                               "every suite, above 6 exits 3 and below 1 exits 2 before it runs")
 
     p_embed = sub.add_parser("embed", help="write a unit-distance embedding file")
     p_embed.add_argument("input")

@@ -362,15 +362,17 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cap: int | None = None) -> dict:
+    """The report of one suite, or of all of them.  Whichever suite is
+    named, the sweep size cap is checked before the suite runs."""
     if _instance(name, str, "suite must be a str") == "all":
         return run_all(cap)
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; known: all, {', '.join(_SUITES)}")
+    _sweep(cap)
     return _suite_report(name, *_SUITES[name](cap))
 
 
 def run_all(cap: int | None = None) -> dict:
-    _sweep(cap)  # reject a bad sweep size before any suite runs
     suites = [run_suite(name, cap) for name in SUITE_NAMES]
     return {
         "suite": "all",

@@ -561,6 +561,12 @@ def test_verify_sweep_size_below_1_exit_2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("suite", ["examples", "all"])
+def test_verify_cap_exits_alike_for_every_suite(suite):
+    assert cli.main(["verify", suite, "--cap", "99"]) == 3
+    assert cli.main(["verify", suite, "--cap", "0"]) == 2
+
+
 def test_verify_violation_maps_to_exit_1(monkeypatch):
     import graphdim.cli as cli
     monkeypatch.setattr(cli, "run_suite",

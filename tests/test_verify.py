@@ -162,6 +162,15 @@ def test_sweep_size_checked_before_any_work(name, monkeypatch):
         run_suite(name, 0)
 
 
+@pytest.mark.parametrize("name", ["examples", "theorem1", "prop1", "identity", "oracle"])
+def test_fixed_population_suites_check_sweep_size_before_running(name, monkeypatch):
+    monkeypatch.setitem(verify._SUITES, name, _refuse)
+    with pytest.raises(CapExceeded):
+        run_suite(name, 7)
+    with pytest.raises(DomainError):
+        run_suite(name, 0)
+
+
 def test_run_all_checks_sweep_size_before_any_suite(monkeypatch):
     monkeypatch.setattr(verify, "_SUITES", dict.fromkeys(SUITE_NAMES, _refuse))
     with pytest.raises(CapExceeded):
