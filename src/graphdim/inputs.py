@@ -61,7 +61,8 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:
     """Parse 'z:2,2,2;gens=(1,0,0),(0,1,0),(0,0,1)' into a group and generators."""
-    if ";gens=" not in _instance(body, str, "cayley spec must be a str"):
+    _instance(body, str, "cayley spec must be a str")
+    if ";gens=" not in body:
         raise ParseError(f"cayley spec {body!r} lacks ';gens='")
     group_part, gens_part = body.split(";gens=", 1)
     if not group_part.startswith("z:"):
