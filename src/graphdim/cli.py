@@ -113,11 +113,6 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
     return report
 
 
-def cmd_verify(suite: str, cap: int | None = None) -> tuple[dict, int]:
-    report = run_suite(suite, cap)
-    return report, EXIT_OK if report["ok"] else EXIT_VIOLATION
-
-
 def cmd_embed(spec: str, out_path: str, cap: int | None = None) -> dict:
     g, descriptor = load_input(spec, cap)
     k, col = chromatic_number(g, cap=cap)
@@ -168,12 +163,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "compute":
             report = cmd_compute(args.input, args.which, cap=args.cap)
-            code = EXIT_OK
         elif args.command == "verify":
-            report, code = cmd_verify(args.suite, cap=args.cap)
+            report = run_suite(args.suite, cap=args.cap)
         else:
             report = cmd_embed(args.input, args.output, cap=args.cap)
-            code = EXIT_OK
     except (ParseError, DomainError) as exc:
         print(f"graphdim: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -186,7 +179,7 @@ def main(argv=None) -> int:
     _emit(report)
     elapsed = time.perf_counter() - start
     print(f"graphdim: {args.command} finished in {elapsed:.3f}s", file=sys.stderr)
-    return code
+    return EXIT_VIOLATION if args.command == "verify" and not report["ok"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -99,10 +99,10 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
 
     One pass over the points finds each vertex's support (its nonzero
     coordinates), the bitset on[i] of vertices nonzero at coordinate i, and
-    a norm id: each squared norm is computed once per distinct tuple of
-    nonzero values.  An edge whose endpoints share no coordinate has squared
-    length |p|^2 + |q|^2, so for each vertex u one bitset test settles all
-    such edges: its neighbours outside shared(u), the OR of on[i] over u's
+    its squared norm, computed once per distinct tuple of nonzero values.
+    An edge whose endpoints share no coordinate has squared length
+    |p|^2 + |q|^2, so for each vertex u one bitset test settles all such
+    edges: its neighbours outside shared(u), the OR of on[i] over u's
     support, must have a norm that adds to 1 with u's.  Only the edges
     inside shared(u) take the exact inner product.  Points are distinct
     when their (support, nonzero values) pairs are.  Cost: O(n * support)
@@ -120,31 +120,24 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
         raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
     on = [0] * d
     supports, keys, norm_of = [], [], []
-    key_norm = {}  # (numerator, denominator) pairs of the nonzero values -> norm id
-    norm_ids = {}  # squared norm as a reduced (numerator, denominator) -> norm id
+    key_norm = {}  # (numerator, denominator) pairs of the nonzero values -> squared norm
+    with_norm = {}  # squared norm as a reduced (numerator, denominator) -> bitset of its vertices
     for v, p in enumerate(points):
         support = tuple(compress(range(d), p))
         for i in support:
             on[i] |= 1 << v
         key = tuple(map(_ratio, map(p.__getitem__, support)))
-        k = key_norm.get(key)
-        if k is None:
+        norm = key_norm.get(key)
+        if norm is None:
             num, den = 0, 1
             for a, b in key:
                 num, den = num * b * b + a * a * den, den * b * b
             common = gcd(num, den)
-            k = key_norm[key] = norm_ids.setdefault((num // common, den // common), len(norm_ids))
+            norm = key_norm[key] = (num // common, den // common)
+        with_norm[norm] = with_norm.get(norm, 0) | 1 << v
         supports.append(support)
         keys.append(key)
-        norm_of.append(k)
-    norms = list(norm_ids)
-    members = [0] * len(norms)  # norm id -> bitset of the vertices with that norm
-    for v, k in enumerate(norm_of):
-        members[k] |= 1 << v
-    partners = []  # norm id k -> the vertices whose norm adds to 1 with norms[k]
-    for num, den in norms:
-        k = norm_ids.get((den - num, den))  # 1 - num/den, still reduced
-        partners.append(0 if k is None else members[k])
+        norm_of.append(norm)
     shared = {}  # support -> OR of on[i] over it
     for support in set(supports):
         mask = 0
@@ -155,14 +148,16 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     def edges_ok():
         for u, row in enumerate(g.adj):
             near = shared[supports[u]]
-            if row & ~(near | partners[norm_of[u]]):
+            num, den = norm_of[u]
+            # the vertices whose norm is 1 - num/den, still reduced
+            if row & ~(near | with_norm.get((den - num, den), 0)):
                 return False
             p = points[u]
             # each edge with a shared coordinate once, from its lower end
             for v in bits_of((row & near) >> (u + 1) << (u + 1)):
                 q = points[v]
                 dot = sum(p[i] * q[i] for i in supports[u] if q[i])
-                if Fraction(*norms[norm_of[u]]) + Fraction(*norms[norm_of[v]]) - 2 * dot != 1:
+                if Fraction(num, den) + Fraction(*norm_of[v]) - 2 * dot != 1:
                     return False
         return True
 

@@ -6,13 +6,14 @@ flag; run_suite names the report by the suite's _SUITES key, so a run is
 a self-contained audit trail.  The exhaustive sweeps walk every labeled
 graph on up to six vertices; redundancy across isomorphic graphs is
 deliberate, since it needs no canonization and each instance stays
-independently replayable.  The sweep suites share one cached sweep that
-checks its size first, then enumerates each graph and computes its
-invariants once.  It reads chi and dim of each n-vertex graph from its n
-one-vertex-deleted minors, records of the (n - 1) sweep: every proper host
-lies in some V - v, so dim(G) = max(subdim(G, V), max_v dim(G - v)), and
-chi(G - v) <= chi(G) <= chi(G - v) + 1, so one chromatic decision settles
-chi.  Every capped call passes an explicit cap (the checked graph's size,
+independently replayable.  run_suite reads and checks the sweep size
+once, before the suite runs, and every suite takes the checked int max_n.
+The sweep suites share one cached sweep that enumerates each graph and
+computes its invariants once.  It reads chi and dim of each n-vertex graph
+from its n one-vertex-deleted minors, records of the (n - 1) sweep: every
+proper host lies in some V - v, so dim(G) = max(subdim(G, V),
+max_v dim(G - v)), and chi(G - v) <= chi(G) <= chi(G - v) + 1, so one
+chromatic decision settles chi.  Every capped call passes an explicit cap (the checked graph's size,
 or DEFAULT_CAP for loading the family specs), so GRAPHDIM_CAP never
 changes a report.  All randomness is seeded.
 """
@@ -118,13 +119,17 @@ def _sweep_stats(n: int) -> list[tuple]:
     return out
 
 
-def _sweep(cap: int | None):
-    """The checked sweep size max_n (None means the largest) and an iterator
-    over the _sweep_stats records for n = 1..max_n; checks before any work."""
+def _sweep_size(cap: int | None) -> int:
+    """The checked sweep size max_n as an int; None means the largest."""
     max_n = _SWEEP_LIMIT if cap is None else _integer(cap, "verify sweep size", 1)
     if max_n > _SWEEP_LIMIT:
         raise CapExceeded(f"verify sweep size must be <= {_SWEEP_LIMIT}, got {max_n}")
-    return max_n, itertools.chain.from_iterable(map(_sweep_stats, range(1, max_n + 1)))
+    return max_n
+
+
+def _records(max_n: int):
+    """The _sweep_stats records for n = 1..max_n, in order."""
+    return itertools.chain.from_iterable(map(_sweep_stats, range(1, max_n + 1)))
 
 
 def _agreement(case: str, metric: str, got: int, want: int) -> dict:
@@ -158,7 +163,7 @@ _FAMILY_CASES = (
 )
 
 
-def suite_examples(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_examples(max_n: int) -> tuple[dict, list[dict]]:
     """Closed-form dimension values of the basic families."""
     instances = []
     for spec, want_subdim, want_dim in _FAMILY_CASES:
@@ -170,7 +175,7 @@ def suite_examples(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {}, instances
 
 
-def suite_theorem1(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_theorem1(max_n: int) -> tuple[dict, list[dict]]:
     """Hypercube dimension: ceil(sqrt(n)), exactly for n <= 3, and via the
     translation shortcut plus a searched half-witness for n = 4."""
     instances = []
@@ -191,20 +196,20 @@ def suite_theorem1(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {}, instances
 
 
-def _prop1_cases() -> list[str]:
-    cases = [f"cayley:z:{n};gens=1,{n - 1}" for n in range(5, 9)]
-    cases += [f"cayley:z:{n};gens=" + ",".join(str(s) for s in range(1, n))
-              for n in range(4, 8)]
-    cases += ["cayley:z:2,2;gens=(1,0),(0,1)",
-              "cayley:z:2,2,2;gens=(1,0,0),(0,1,0),(0,0,1)",
-              "cayley:z:7;gens=1,2,5,6"]
-    return cases
+# the Cayley specs of prop1, in report order; oracle checks them too
+_PROP1_CASES = (
+    [f"cayley:z:{n};gens=1,{n - 1}" for n in range(5, 9)]
+    + [f"cayley:z:{n};gens=" + ",".join(str(s) for s in range(1, n)) for n in range(4, 8)]
+    + ["cayley:z:2,2;gens=(1,0),(0,1)",
+       "cayley:z:2,2,2;gens=(1,0,0),(0,1,0),(0,0,1)",
+       "cayley:z:7;gens=1,2,5,6"]
+)
 
 
-def suite_prop1(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_prop1(max_n: int) -> tuple[dict, list[dict]]:
     """Translation shortcut agrees with the exhaustive solver on Cayley graphs."""
     instances = []
-    for case in _prop1_cases():
+    for case in _PROP1_CASES:
         grp, gens = parse_cayley_spec(case[len("cayley:"):])
         shortcut = dim_via_transitivity(grp, gens, cap=grp.size).value
         exhaustive = dim_exact(cayley_graph(grp, gens), cap=grp.size).value
@@ -212,13 +217,12 @@ def suite_prop1(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {}, instances
 
 
-def suite_theorem2(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_theorem2(max_n: int) -> tuple[dict, list[dict]]:
     """Chromatic bound chi <= (dim + 1) * max(1, ceil(log2 n)) on every
     labeled graph up to the sweep cap, with the decomposition coloring
     meeting the same palette bound in at most max(1, ceil(log2 n)) rounds."""
-    max_n, records = _sweep(cap)
     instances = []
-    for g, g6, chi, full, dim_value in records:
+    for g, g6, chi, full, dim_value in _records(max_n):
         bound = chromatic_bound_from_dim(dim_value, g.n)
         col, rounds = _decompose(g, full)
         ok = (chi <= bound
@@ -231,14 +235,13 @@ def suite_theorem2(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {"max_n": max_n}, instances
 
 
-def suite_lemma2(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_lemma2(max_n: int) -> tuple[dict, list[dict]]:
     """Critical subgraphs keep the chromatic number and have min degree
     at least chi - 1, on every labeled graph up to the sweep cap.  The
     subgraph is cut down to the sweep's chi, and chromatic_number_within
     of the result checks that chi."""
-    max_n, records = _sweep(cap)
     instances = []
-    for g, g6, chi, _, _ in records:
+    for g, g6, chi, _, _ in _records(max_n):
         core = _critical(g, chi)
         core_chi = chromatic_number_within(g, core, cap=g.n)
         preserved = core_chi == chi
@@ -251,12 +254,11 @@ def suite_lemma2(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {"max_n": max_n}, instances
 
 
-def suite_corollary1(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_corollary1(max_n: int) -> tuple[dict, list[dict]]:
     """2*chi never exceeds 2*(dim+1)*max(1, ceil(log2 n)) on the sweep, and
     sampled graphs get their coloring-based embedding built and verified."""
-    max_n, records = _sweep(cap)
     instances = []
-    for counter, (g, g6, chi, _, dim_value) in enumerate(records):
+    for counter, (g, g6, chi, _, dim_value) in enumerate(_records(max_n)):
         via_chi = 2 * chi
         via_dim = 2 * chromatic_bound_from_dim(dim_value, g.n)
         instances.append({"case": g6, "bound_via_chi": via_chi,
@@ -270,7 +272,7 @@ def suite_corollary1(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {"max_n": max_n}, instances
 
 
-def suite_identity(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_identity(max_n: int) -> tuple[dict, list[dict]]:
     """Exact translate-overlap counting and the averaging consequence, on
     seeded random triples, plus exhaustive majority coverage on the
     3-dimensional cube.
@@ -319,7 +321,7 @@ def suite_identity(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {"seed": _IDENTITY_SEED, "trials": 100}, instances
 
 
-def suite_oracle(cap: int | None = None) -> tuple[dict, list[dict]]:
+def suite_oracle(max_n: int) -> tuple[dict, list[dict]]:
     """Branch-and-bound solver against the brute-force oracle: identical
     certificates on the family graphs and on seeded random graphs, each
     replayed by _replay_subdim."""
@@ -337,7 +339,7 @@ def suite_oracle(cap: int | None = None) -> tuple[dict, list[dict]]:
         check(spec, load_input(spec, cap=DEFAULT_CAP)[0])
     for n in (1, 2, 3, 4):
         check(f"cube:{n}", hypercube_graph(n))
-    for case in _prop1_cases():
+    for case in _PROP1_CASES:
         check(case, load_input(case, cap=DEFAULT_CAP)[0])
     for trial in range(_ORACLE_TRIALS):
         n = rng.randint(1, 10)
@@ -348,6 +350,7 @@ def suite_oracle(cap: int | None = None) -> tuple[dict, list[dict]]:
     return {"seed": _IDENTITY_SEED + 1, "trials": _ORACLE_TRIALS}, instances
 
 
+# each suite takes the checked sweep size max_n; only the sweep suites read it
 _SUITES = {
     "examples": suite_examples,
     "theorem1": suite_theorem1,
@@ -363,13 +366,13 @@ SUITE_NAMES = tuple(_SUITES)
 
 def run_suite(name: str, cap: int | None = None) -> dict:
     """The report of one suite, or of all of them.  Whichever suite is
-    named, the sweep size cap is checked before the suite runs."""
+    named, the sweep size cap is read and checked here, once, before the
+    suite runs, and the suite gets the checked int max_n."""
     if _instance(name, str, "suite must be a str") == "all":
         return run_all(cap)
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; known: all, {', '.join(_SUITES)}")
-    _sweep(cap)
-    return _suite_report(name, *_SUITES[name](cap))
+    return _suite_report(name, *_SUITES[name](_sweep_size(cap)))
 
 
 def run_all(cap: int | None = None) -> dict:

@@ -567,12 +567,11 @@ def test_verify_cap_exits_alike_for_every_suite(suite):
     assert cli.main(["verify", suite, "--cap", "0"]) == 2
 
 
-def test_verify_violation_maps_to_exit_1(monkeypatch):
-    import graphdim.cli as cli
+def test_verify_violation_maps_to_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite",
                         lambda name, cap=None: {"ok": False, "failures": 1, "instances": []})
-    _, code = cli.cmd_verify("examples")
-    assert code == 1
+    assert cli.main(["verify", "examples"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_diagnostics_go_to_stderr():

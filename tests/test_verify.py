@@ -17,6 +17,8 @@ from graphdim.verify import (
 )
 from graphdim.verify import _sweep_stats
 
+from helpers import Index
+
 
 def test_enumeration_counts():
     assert sum(1 for _ in enumerate_labeled_graphs(0)) == 1
@@ -177,6 +179,20 @@ def test_run_all_checks_sweep_size_before_any_suite(monkeypatch):
         run_all(7)
     with pytest.raises(DomainError):
         run_all(0)
+
+
+@pytest.mark.parametrize("name", ["theorem2", "examples"])
+def test_suites_receive_the_checked_sweep_size_as_an_int(name, monkeypatch):
+    received = []
+
+    def recorder(max_n):
+        received.append(max_n)
+        return {}, [{"ok": True}]
+
+    monkeypatch.setitem(verify._SUITES, name, recorder)
+    assert run_suite(name, Index(4))["ok"] is True
+    assert run_suite(name)["ok"] is True
+    assert received == [4, 6] and all(type(max_n) is int for max_n in received)
 
 
 def test_suite_name_of_another_class_is_refused():
