@@ -19,7 +19,7 @@ import sys
 import time
 
 from .coloring import _decompose, chromatic_number, is_proper
-from .core import bits_of, encode_graph6
+from .core import _instance, bits_of, encode_graph6
 from .dimension import _dim_search, _replay_dim, _replay_subdim, dim_exact, subdim
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
@@ -114,6 +114,8 @@ def cmd_compute(spec: str, which: str, cap: int | None = None) -> dict:
 
 
 def cmd_embed(spec: str, out_path: str, cap: int | None = None) -> dict:
+    # before any work: open() would take an int as a file descriptor
+    _instance(out_path, str, "output path must be a str")
     g, descriptor = load_input(spec, cap)
     k, col = chromatic_number(g, cap=cap)
     emb = unit_distance_embed(g, col)

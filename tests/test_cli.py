@@ -531,6 +531,17 @@ def test_embed_ambient_dims():
         assert json.loads(proc.stdout)["embedding"]["ambient_dim"] == want
 
 
+@pytest.mark.parametrize("out_path", [None, 987654])  # 987654: an unopened descriptor
+def test_embed_refuses_an_output_path_of_another_class_first(out_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("loaded the graph before checking the output path")
+
+    monkeypatch.setattr(cli, "load_input", refuse)
+    with pytest.raises(DomainError) as err:
+        cli.cmd_embed("cycle:5", out_path)
+    assert str(err.value) == f"output path must be a str, got {out_path!r}"
+
+
 def test_embed_io_error_exit_4(tmp_path):
     proc = run_cli("embed", "path:2", "-o", str(tmp_path / "missing" / "x.emb"))
     assert proc.returncode == 4
