@@ -24,6 +24,7 @@ from .dimension import _dim_search, _replay_dim, _replay_subdim, dim_exact, subd
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
 from .inputs import load_input
+from .limits import _read_cap
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -143,19 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("input", help="family spec (path:7, cycle:6, complete:5, "
                                          "kbip:3,4, cube:3, cayley:z:...;gens=...) or file path")
     p_compute.add_argument("--which", choices=_WHICH, default="all")
-    p_compute.add_argument("--cap", type=int, default=None,
-                           help="solver cap override (default: GRAPHDIM_CAP or 16)")
+    p_compute.add_argument("--cap", help="solver cap override (default: GRAPHDIM_CAP or 16)")
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
-    p_verify.add_argument("--cap", type=int, default=None,
+    p_verify.add_argument("--cap",
                           help="theorem2/lemma2/corollary1 sweep size, 1..6 (default 6); for "
                                "every suite, above 6 exits 3 and below 1 exits 2 before it runs")
 
     p_embed = sub.add_parser("embed", help="write a unit-distance embedding file")
     p_embed.add_argument("input")
     p_embed.add_argument("-o", "--output", required=True)
-    p_embed.add_argument("--cap", type=int, default=None)
+    p_embed.add_argument("--cap")
     return parser
 
 
@@ -163,12 +163,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        cap = None if args.cap is None else _read_cap(args.cap, "--cap")
         if args.command == "compute":
-            report = cmd_compute(args.input, args.which, cap=args.cap)
+            report = cmd_compute(args.input, args.which, cap=cap)
         elif args.command == "verify":
-            report = run_suite(args.suite, cap=args.cap)
+            report = run_suite(args.suite, cap=cap)
         else:
-            report = cmd_embed(args.input, args.output, cap=args.cap)
+            report = cmd_embed(args.input, args.output, cap=cap)
     except (ParseError, DomainError) as exc:
         print(f"graphdim: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -6,8 +6,9 @@ Exact search is exponential, so every solver entry point and the loader
 The default is 16 vertices; the GRAPHDIM_CAP environment variable overrides
 it globally, and every capped function also takes an explicit ``cap=``
 argument.  The cap is the only size limit.  An explicit cap must be an
-integer (``core._integer``) and GRAPHDIM_CAP must be one by the edge-list
-rule ``core._INTEGER``; anything else is a DomainError, not a refusal.
+integer (``core._integer``); GRAPHDIM_CAP, and the CLI's ``--cap``, must be
+one by the edge-list rule ``core._INTEGER``, read by ``_read_cap``; anything
+else is a DomainError, not a refusal.
 """
 
 import os
@@ -24,11 +25,17 @@ def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
         return _integer(cap, "cap")
     raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    if not _INTEGER.fullmatch(raw):
-        raise DomainError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    return int(raw)
+    return DEFAULT_CAP if raw is None else _read_cap(raw, CAP_ENV_VAR)
+
+
+def _read_cap(text: str, source: str) -> int:
+    """The integer that cap text states: ASCII digits with an optional
+    leading '-', as in an edge list; anything else (int() would also take
+    '+16', '1_6', ' 16 ' and non-ASCII digits) is a DomainError naming the
+    source and the text."""
+    if not _INTEGER.fullmatch(text):
+        raise DomainError(f"{source} must be an integer, got {text!r}")
+    return int(text)
 
 
 def require_within_cap(n: int, cap: int | None, what: str) -> None:

@@ -293,6 +293,27 @@ def test_cap_variable_follows_the_integer_rule(value, monkeypatch, capsys):
     assert f"GRAPHDIM_CAP must be an integer, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["+16", "1_6", " 16 ", "\u0661\u0666"])  # Arabic-Indic 16
+@pytest.mark.parametrize("command", ["compute", "embed", "verify"])
+def test_cap_option_follows_the_integer_rule(command, value, tmp_path, capsys):
+    # int() took each of these as 16: compute exited 0 and verify, whose
+    # sweep size cannot exceed 6, exited 3
+    out = tmp_path / "g.emb"
+    argv = {"compute": ["compute", "path:3", "--which", "subdim"],
+            "embed": ["embed", "path:3", "-o", str(out)],
+            "verify": ["verify", "examples"]}[command]
+    assert cli.main(argv + ["--cap", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--cap must be an integer, got {value!r}" in captured.err
+    assert not out.exists()
+
+
+def test_negative_cap_option_is_an_integer(capsys):
+    assert cli.main(["compute", "path:3", "--cap", "-1"]) == 3
+    assert "refuses n=3 > cap=-1" in capsys.readouterr().err
+
+
 def test_oversize_family_specs_exit_3():
     for spec in OVERSIZE_SPECS[:3]:
         proc = run_cli("compute", spec)
