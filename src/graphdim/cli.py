@@ -23,9 +23,9 @@ from .core import _instance, bits_of, encode_graph6
 from .dimension import _dim_search, _replay_dim, _replay_subdim, dim_exact, subdim
 from .embedding import format_embedding, unit_distance_embed, verify_embedding
 from .errors import CapExceeded, DomainError, ParseError
-from .inputs import load_input
+from .inputs import _FAMILIES, load_input
 from .limits import _read_cap
-from .verify import SUITE_NAMES, run_suite
+from .verify import _SWEEP_LIMIT, SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -141,16 +141,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute invariants of one graph")
-    p_compute.add_argument("input", help="family spec (path:7, cycle:6, complete:5, "
-                                         "kbip:3,4, cube:3, cayley:z:...;gens=...) or file path")
+    # one form per registered family; a family of arity None parses its own body
+    forms = ", ".join(f"{token}:" + ("..." if arity is None else ",".join(["N"] * arity))
+                      for token, (arity, _, _) in _FAMILIES.items())
+    p_compute.add_argument("input", help=f"family spec ({forms}) or file path")
     p_compute.add_argument("--which", choices=_WHICH, default="all")
     p_compute.add_argument("--cap", help="solver cap override (default: GRAPHDIM_CAP or 16)")
 
     p_verify = sub.add_parser("verify", help="run a verification sweep")
     p_verify.add_argument("suite", choices=("all",) + SUITE_NAMES)
     p_verify.add_argument("--cap",
-                          help="theorem2/lemma2/corollary1 sweep size, 1..6 (default 6); for "
-                               "every suite, above 6 exits 3 and below 1 exits 2 before it runs")
+                          help=f"theorem2/lemma2/corollary1 sweep size, 1..{_SWEEP_LIMIT} "
+                               f"(default {_SWEEP_LIMIT}); for every suite, above {_SWEEP_LIMIT} "
+                               "exits 3 and below 1 exits 2 before it runs")
 
     p_embed = sub.add_parser("embed", help="write a unit-distance embedding file")
     p_embed.add_argument("input")

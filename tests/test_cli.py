@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphdim import cli, dimension, inputs
+from graphdim import cli, dimension, inputs, verify
 from graphdim.cli import cmd_compute
 from graphdim.coloring import Coloring, is_proper
 from graphdim.core import (cycle_graph, encode_graph6, hypercube_graph, max_degree_within,
@@ -222,6 +222,18 @@ def test_out_of_range_family_parameters_exit_2(spec, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"graphdim: error: {message}\n"
+
+
+def test_help_lists_the_registered_families_and_the_sweep_limit(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["compute", "--help"])
+    out = capsys.readouterr().out
+    for token in inputs._FAMILIES:
+        assert f"{token}:" in out
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    words = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal
+    assert f"1..{verify._SWEEP_LIMIT} (default {verify._SWEEP_LIMIT})" in words
 
 
 def test_compute_refuses_an_unknown_which_before_loading():
