@@ -13,9 +13,9 @@ computes its invariants once.  It reads chi and dim of each n-vertex graph
 from its n one-vertex-deleted minors, records of the (n - 1) sweep: every
 proper host lies in some V - v, so dim(G) = max(subdim(G, V),
 max_v dim(G - v)), and chi(G - v) <= chi(G) <= chi(G - v) + 1, so one
-chromatic decision settles chi.  Every capped call passes an explicit cap (the checked graph's size,
-or DEFAULT_CAP for loading the family specs), so GRAPHDIM_CAP never
-changes a report.  All randomness is seeded.
+chromatic decision settles chi.  Every capped call passes an explicit cap
+(the checked graph's size, or DEFAULT_CAP for loading the family specs), so
+GRAPHDIM_CAP never changes a report.  All randomness is seeded.
 """
 
 from __future__ import annotations
