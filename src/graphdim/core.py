@@ -122,9 +122,8 @@ class Graph:
     symmetric, loop-free and below n by construction skip that walk through
     the private Graph._built: from_edges, parse_edge_list and parse_graph6
     after their own checks of n and of each edge, line or byte; and
-    induced_subgraph, hypercube_graph, cayley.cayley_graph and
-    verify.enumerate_labeled_graphs, whose rows come from a checked graph,
-    a checked group or a plain count.
+    induced_subgraph, cayley.cayley_graph and verify.enumerate_labeled_graphs,
+    whose rows come from a checked graph, a checked group or a plain count.
     """
 
     n: int
@@ -208,16 +207,7 @@ def _check_subset(g: Graph, subset: int) -> int:
 def max_degree_within(g: Graph, subset: int) -> int:
     """Maximum degree of the induced subgraph; 0 for empty or singleton sets."""
     subset = _check_subset(g, subset)
-    adj = g.adj
-    best = 0
-    rest = subset
-    while rest:
-        low = rest & -rest
-        d = (adj[low.bit_length() - 1] & subset).bit_count()
-        if d > best:
-            best = d
-        rest ^= low
-    return best
+    return max([(g.adj[v] & subset).bit_count() for v in bits_of(subset)], default=0)
 
 
 def induced_subgraph(g: Graph, subset: int) -> Graph:
@@ -448,12 +438,8 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
 def hypercube_graph(n: int) -> Graph:
     """n-dimensional hypercube; vertex id encodes the 0/1 tuple in binary."""
     n = _integer(n, "hypercube dimension", 1)
-    size = 1 << n
-    adj = [0] * size
-    for v in range(size):
-        for b in range(n):
-            adj[v] |= 1 << (v ^ (1 << b))
-    return Graph._built(size, tuple(adj))
+    return Graph.from_edges(1 << n, ((v, v | 1 << b) for v in range(1 << n)
+                                     for b in range(n) if not v >> b & 1))
 
 
 # ---------------------------------------------------------------------------

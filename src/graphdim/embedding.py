@@ -99,7 +99,7 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
 
     One pass over the points finds each vertex's support (its nonzero
     coordinates), the bitset on[i] of vertices nonzero at coordinate i, and
-    its squared norm, computed once per distinct tuple of nonzero values.
+    its squared norm.
     An edge whose endpoints share no coordinate has squared length
     |p|^2 + |q|^2, so for each vertex u one bitset test settles all such
     edges: its neighbours outside shared(u), the OR of on[i] over u's
@@ -120,20 +120,17 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
         raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
     on = [0] * d
     supports, keys, norm_of = [], [], []
-    key_norm = {}  # (numerator, denominator) pairs of the nonzero values -> squared norm
     with_norm = {}  # squared norm as a reduced (numerator, denominator) -> bitset of its vertices
     for v, p in enumerate(points):
         support = tuple(compress(range(d), p))
         for i in support:
             on[i] |= 1 << v
         key = tuple(map(_ratio, map(p.__getitem__, support)))
-        norm = key_norm.get(key)
-        if norm is None:
-            num, den = 0, 1
-            for a, b in key:
-                num, den = num * b * b + a * a * den, den * b * b
-            common = gcd(num, den)
-            norm = key_norm[key] = (num // common, den // common)
+        num, den = 0, 1
+        for a, b in key:
+            num, den = num * b * b + a * a * den, den * b * b
+        common = gcd(num, den)
+        norm = (num // common, den // common)
         with_norm[norm] = with_norm.get(norm, 0) | 1 << v
         supports.append(support)
         keys.append(key)

@@ -114,6 +114,13 @@ def test_cube_as_cayley_graph():
     assert cayley_graph(cube_group(3), units(3)) == hypercube_graph(3)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_hypercube_rows_are_the_cayley_rows_of_the_unit_vectors(n):
+    # hypercube_graph builds through from_edges, cayley_graph by translating
+    # the generator mask: two routes to the same rows
+    assert hypercube_graph(n).adj == cayley_graph(cube_group(n), units(n)).adj
+
+
 def test_complete_as_cayley_graph():
     assert cayley_graph(AbelianGroup((6,)), GeneratorSet(range(1, 6))) == complete_graph(6)
 

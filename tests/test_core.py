@@ -507,6 +507,20 @@ def test_unchecked_families_pass_the_public_check():
         assert all(map(_passes_public_check, enumerate_labeled_graphs(n)))
 
 
+@_PROPERTY
+@given(_graphs(12), st.integers(0, 2**12 - 1))
+@example(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)]), 0b11111)  # the lowest vertex alone is max
+@example(Graph.from_edges(5, [(4, 1), (4, 2), (4, 3)]), 0b11111)  # the highest vertex alone is max
+def test_max_degree_within_counts_the_edges_inside_the_set(g, subset):
+    subset &= g.vertex_mask
+    degree = [0] * g.n
+    for u, v in g.edges():
+        if subset >> u & subset >> v & 1:
+            degree[u] += 1
+            degree[v] += 1
+    assert max_degree_within(g, subset) == max(degree, default=0)
+
+
 def _sized_graph6(n):
     # a one-byte size header and a body of the length it asks for, with
     # bytes near the valid range 63..126
