@@ -9,8 +9,9 @@ builder and vertex count (None for cube: its 2^N is checked by its exponent):
 
 The integer families take a comma-separated list of exactly `arity`
 parameters; cayley (arity None) hands its whole body to the spec parser.
-Cayley generators are element tuples like (1,0),(0,1); for a single cyclic
-factor bare residues are accepted (gens=1,4).  The generator set is taken
+Cayley generators are element tuples like (1,0),(0,1), joined by commas
+alone; for a single cyclic factor bare residues are accepted (gens=1,4).
+No list may hold an empty field.  The generator set is taken
 literally and must already be closed under negation.
 
 A file's first non-blank line alone picks its format, whatever its name:
@@ -52,8 +53,9 @@ __all__ = ["parse_cayley_spec", "load_input"]
 def _parse_int_list(text: str, what: str) -> list[int]:
     """The comma-separated integers of a spec, each read by the rule _INTEGER
     of the edge-list format; int() alone would also take '+3', '1_0', ' 3'
-    and non-ASCII digits."""
-    tokens = [tok for tok in text.split(",") if tok != ""]
+    and non-ASCII digits.  Empty text holds no integers; an empty field
+    between, before or after the commas is refused."""
+    tokens = text.split(",") if text else []
     if not all(map(_INTEGER.fullmatch, tokens)):
         raise ParseError(f"bad {what} {text!r}, expected comma-separated integers")
     return [int(tok) for tok in tokens]
@@ -73,8 +75,7 @@ def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:
     grp = AbelianGroup(tuple(orders))
     if "(" in gens_part:
         tuples = re.findall(r"\(([^()]*)\)", gens_part)
-        leftover = re.sub(r"\(([^()]*)\)", "", gens_part).replace(",", "").strip()
-        if not tuples or leftover:
+        if gens_part != ",".join(f"({t})" for t in tuples):
             raise ParseError(f"bad generator list {gens_part!r}")
         elements = []
         for t in tuples:

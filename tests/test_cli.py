@@ -297,6 +297,20 @@ def test_family_spec_integers_follow_the_file_rule(spec, capsys):
     assert "expected comma-separated integers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", [
+    "path:,5", "kbip:3,,4", "cube:3,", "complete:5,", "cayley:z:,7;gens=1,,6",
+    "cayley:z:2,2;gens=(1,0)(0,1)", "cayley:z:2,2;gens=(1,,0),(0,1)",
+    "cayley:z:2,2;gens=,(1,0),(0,1),", "cayley:z:2,2;gens=(1,0), (0,1)",
+])
+def test_family_spec_lists_refuse_empty_fields_and_stray_text(spec, capsys):
+    # each of these once loaded: empty fields were dropped, and only commas
+    # and blanks were looked for between generator tuples
+    with pytest.raises(ParseError):
+        inputs.load_input(spec)
+    assert cli.main(["compute", spec]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("value", ["1_6", "+16", "\u0661\u0666", " 16 ", "abc"])
 def test_cap_variable_follows_the_integer_rule(value, monkeypatch, capsys):
     # int() took the first four as 16; "abc" exited 3 as if a cap were exceeded
