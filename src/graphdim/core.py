@@ -14,6 +14,7 @@ import binascii
 import itertools
 import operator
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -158,8 +159,13 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """The graph on 0..n-1 with the given (u, v) pairs as its edges; a
+        count too large to allocate rows for is a DomainError."""
         n = _integer(n, "vertex count", 0)
-        adj = [0] * n
+        try:
+            adj = [0] * n
+        except (OverflowError, MemoryError):
+            raise DomainError(f"vertex count {n} too large") from None
         for edge in _iterable(edges, "edges must be an iterable of pairs"):
             try:
                 u, v = edge
@@ -426,7 +432,8 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     n = _integer(n, "vertex count", 1)
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+    # pairs made lazily: combinations() would hold range(n) before from_edges checks n
+    return Graph.from_edges(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
@@ -438,6 +445,8 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
 def hypercube_graph(n: int) -> Graph:
     """n-dimensional hypercube; vertex id encodes the 0/1 tuple in binary."""
     n = _integer(n, "hypercube dimension", 1)
+    if n >= sys.maxsize.bit_length():  # no list has 2^n rows; 1 << n alone may not fit
+        raise DomainError(f"vertex count 2**{n} too large")
     return Graph.from_edges(1 << n, ((v, v | 1 << b) for v in range(1 << n)
                                      for b in range(n) if not v >> b & 1))
 

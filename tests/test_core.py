@@ -632,6 +632,25 @@ def test_family_parameter_range(name, params):
         getattr(core, f"{name}_graph")(*params)
 
 
+# Each count fails before any memory is taken: a list of 2**60 or more rows
+# is refused by its size alone, and hypercube_graph refuses n >= 63 before 1 << n.
+@pytest.mark.parametrize("call,count", [
+    pytest.param(lambda: Graph.from_edges(2**64, []), 2**64, id="from_edges-2**64"),
+    pytest.param(lambda: Graph.from_edges(2**62, []), 2**62, id="from_edges-2**62"),
+    pytest.param(lambda: path_graph(2**64), 2**64, id="path"),
+    pytest.param(lambda: cycle_graph(2**64), 2**64, id="cycle"),
+    pytest.param(lambda: complete_bipartite_graph(2**64, 1), 2**64 + 1, id="kbip"),
+    pytest.param(lambda: complete_graph(2**64), 2**64, id="complete"),
+    pytest.param(lambda: hypercube_graph(62), 2**62, id="cube-62"),
+    pytest.param(lambda: hypercube_graph(64), "2**64", id="cube-64"),
+    pytest.param(lambda: hypercube_graph(2**40), f"2**{2**40}", id="cube-2**40"),
+])
+def test_builders_refuse_a_vertex_count_too_large_to_allocate(call, count):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == f"vertex count {count} too large"
+
+
 def test_hypercube_degrees():
     for n in (1, 2, 3, 4):
         g = hypercube_graph(n)
