@@ -163,7 +163,8 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
 
 
 def format_embedding(emb: Embedding, col: Coloring) -> str:
-    """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}'.
+    """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}', each ended
+    by a newline, so no vertex is no text.
 
     Coordinates are written exactly, as integers or reduced fractions p/q.
     Raises DomainError for a malformed embedding, as verify_embedding does.
@@ -172,11 +173,8 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     _instance(col, Coloring, "coloring must be a Coloring")
     if len(col.colors) != len(points):
         raise DomainError("coloring and embedding cover different vertex counts")
-    lines = []
-    for v, point in enumerate(points):
-        coords = " ".join(map(str, point))
-        lines.append(f"{v} {col.colors[v]} {coords}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{v} {c} {' '.join(map(str, point))}\n"
+                   for v, (c, point) in enumerate(zip(col.colors, points)))
 
 
 def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:

@@ -547,6 +547,16 @@ def test_embed_writes_file_and_summary(tmp_path):
     assert all(len(line.split()) == 2 + 6 for line in lines)
 
 
+def test_embed_of_the_empty_graph_writes_an_empty_file(tmp_path):
+    # one line per vertex: no vertex, no line
+    src = tmp_path / "empty.txt"
+    src.write_text("0\n")
+    out = tmp_path / "empty.emb"
+    report = cli.cmd_embed(str(src), str(out))
+    assert report["embedding"]["ok"] is True
+    assert out.read_bytes() == b""
+
+
 _EMBED_EDGES = {
     "cycle:7": [(u, (u + 1) % 7) for u in range(7)],
     "complete:5": list(itertools.combinations(range(5), 2)),
