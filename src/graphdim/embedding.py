@@ -99,15 +99,15 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
 
     One pass over the points finds each vertex's support (its nonzero
     coordinates), the bitset on[i] of vertices nonzero at coordinate i, and
-    its squared norm.
-    An edge whose endpoints share no coordinate has squared length
-    |p|^2 + |q|^2, so for each vertex u one bitset test settles all such
-    edges: its neighbours outside shared(u), the OR of on[i] over u's
-    support, must have a norm that adds to 1 with u's.  Only the edges
-    inside shared(u) take the exact inner product.  Points are distinct
-    when their (support, nonzero values) pairs are.  Cost: O(n * support)
-    bitset steps, plus exact arithmetic only on edges whose endpoints share
-    a coordinate (none, for the embedding of a proper coloring).
+    its squared norm.  An edge whose endpoints share no coordinate has
+    squared length |p|^2 + |q|^2, so for each vertex u one bitset test
+    settles all such edges: its neighbours outside shared(u), the OR of
+    on[i] over u's support, must have a norm that adds to 1 with u's.  Only
+    the edges inside shared(u) take the exact inner product.  Points are
+    distinct when their (support, nonzero values) pairs are.  Cost:
+    O(n * support) bitset steps, plus exact arithmetic only on edges whose
+    endpoints share a coordinate (none, for the embedding of a proper
+    coloring).
 
     Raises DomainError for a malformed embedding (see _checked_points) or
     one that does not have a point per vertex of g.
@@ -163,8 +163,8 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
 
 
 def format_embedding(emb: Embedding, col: Coloring) -> str:
-    """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}', each ended
-    by a newline, so no vertex is no text.
+    """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}', each ending
+    in a newline, so a graph with no vertices gives empty text.
 
     Coordinates are written exactly, as integers or reduced fractions p/q.
     Raises DomainError for a malformed embedding, as verify_embedding does.
