@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import Graph, _instance, _integer, _iterable, mask_of
+from .core import Graph, _bit, _checked_make, _instance, _integer, _iterable, mask_of
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -34,18 +34,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_k}."""
+class AbelianGroup(namedtuple("AbelianGroup", "orders")):
+    """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_k}; orders is
+    the tuple of the n_i, checked by AbelianGroup(orders), _make and
+    _replace alike."""
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        orders = _iterable(self.orders, "orders must be a sequence of cyclic orders")
+    def __new__(cls, orders: tuple[int, ...]) -> "AbelianGroup":
+        orders = _iterable(orders, "orders must be a sequence of cyclic orders")
         orders = tuple(_integer(n, "cyclic order", 1) for n in orders)
-        object.__setattr__(self, "orders", orders)
         if not orders:
             raise DomainError("group needs at least one cyclic factor")
+        return tuple.__new__(cls, (orders,))
+
+    _make = classmethod(_checked_make)
 
     @property
     def size(self) -> int:
@@ -78,16 +81,18 @@ class AbelianGroup:
         return self.encode(-c for c in self.decode(x))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Connection set for a Cayley graph: element ids, no identity,
-    closed under negation (validated against the group at build time)."""
+class GeneratorSet(namedtuple("GeneratorSet", "elements")):
+    """Connection set for a Cayley graph: a frozenset of element ids, no
+    identity, closed under negation (validated against the group at build
+    time); GeneratorSet(elements), _make and _replace check the ids."""
 
-    elements: frozenset[int]
+    __slots__ = ()
 
-    def __init__(self, elements):
+    def __new__(cls, elements) -> "GeneratorSet":
         elements = _iterable(elements, "generators must be an iterable of element ids")
-        object.__setattr__(self, "elements", frozenset(_integer(e, "generator") for e in elements))
+        return tuple.__new__(cls, (frozenset(_integer(e, "generator") for e in elements),))
+
+    _make = classmethod(_checked_make)
 
 
 def _check_generators(grp: AbelianGroup, gens: GeneratorSet) -> None:
@@ -117,7 +122,7 @@ def translate(grp: AbelianGroup, subset: int, a: int) -> int:
     subset = _integer(subset, "vertex set")
     if subset >> grp.size:
         raise DomainError("vertex set mentions ids outside the group")
-    full = (1 << grp.size) - 1
+    full = _bit(grp.size, "group size") - 1
     stride = 1
     for n, d in zip(grp.orders, grp.decode(a)):
         block = stride * n

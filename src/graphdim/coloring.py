@@ -13,7 +13,7 @@ palette is as large as the vertex set, the chromatic decision when smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .core import Graph, _check_subset, _instance, _integer, _permutation, bits_of, ceil_log2
 from .dimension import SubdimCertificate, subdim
@@ -36,8 +36,11 @@ __all__ = [
 
 def _labels(colors) -> tuple:
     """colors as a tuple of hashable labels; anything else is refused with
-    DomainError, as the coloring kind's input."""
+    DomainError, as the coloring kind's input.  A Coloring is refused too:
+    it is a tuple, but of its colors and palette_size."""
     try:
+        if type(colors) is Coloring:
+            raise TypeError
         colors = tuple(colors)
         hash(colors)
     except TypeError:
@@ -45,27 +48,43 @@ def _labels(colors) -> tuple:
     return colors
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "colors palette_size")):
     """Total proper coloring; color ids are gap-free 0..palette_size-1, and
-    palette_size is derived from them."""
+    palette_size is derived from them.  Coloring(colors) takes the colors
+    alone, as does _replace; _make takes both fields and refuses a
+    palette_size other than the derived one."""
 
-    colors: tuple[int, ...]
-    palette_size: int = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", _labels(self.colors))
-        used = set(self.colors)
+    def __new__(cls, colors: tuple[int, ...]) -> "Coloring":
+        colors = _labels(colors)
+        used = set(colors)
         if used != set(range(len(used))) or any(type(c) is not int for c in used):
             raise DomainError("color ids must be exactly 0..k-1 for some k")
-        object.__setattr__(self, "palette_size", len(used))
+        return tuple.__new__(cls, (colors, len(used)))
+
+    @classmethod
+    def _make(cls, fields) -> "Coloring":
+        colors, palette_size = fields
+        col = cls(colors)
+        if palette_size != col.palette_size:
+            raise DomainError(f"palette_size {palette_size!r} differs from the "
+                              f"{col.palette_size} colors used")
+        return col
+
+    def _replace(self, **fields) -> "Coloring":
+        return type(self)(**{"colors": self.colors, **fields})
+
+    def __getnewargs__(self) -> tuple:
+        return (self.colors,)
 
 
-@dataclass(frozen=True)
-class DecompositionRound:
-    chunk: int           # vertex bitset peeled off in this round
-    chunk_delta: int     # induced max degree of the chunk
-    palette_offset: int  # first color id this round's palette starts at
+class DecompositionRound(namedtuple("DecompositionRound", "chunk chunk_delta palette_offset")):
+    """One round of decomposition_coloring: chunk is the vertex bitset peeled
+    off in this round, chunk_delta the induced max degree of the chunk, and
+    palette_offset the first color id this round's palette starts at."""
+
+    __slots__ = ()
 
 
 def is_proper(g: Graph, colors) -> bool:

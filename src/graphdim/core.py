@@ -15,7 +15,7 @@ import itertools
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, ParseError
 
@@ -88,6 +88,12 @@ def _permutation(perm, n: int, what: str) -> list[int]:
     return perm
 
 
+def _checked_make(cls, fields):
+    """The _make of a checked record: cls(*fields), so that _make and
+    _replace, which builds through it, run the checks of cls."""
+    return cls(*fields)
+
+
 def bits_of(mask: int) -> list[int]:
     """Vertex ids in a bitset, ascending."""
     mask = _integer(mask, "vertex set", 0)
@@ -99,11 +105,20 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def _bit(v: int, what: str) -> int:
+    """1 << v for an int v >= 0; where no int that large can be made, a
+    DomainError "{what} {v} too large", as Graph.from_edges refuses a count."""
+    try:
+        return 1 << v
+    except (OverflowError, MemoryError):
+        raise DomainError(f"{what} {v} too large") from None
+
+
 def mask_of(vertices) -> int:
     """Bitset from an iterable of vertex ids."""
     m = 0
     for v in _iterable(vertices, "vertices must be an iterable of vertex ids"):
-        m |= 1 << _integer(v, "vertex id", 0)
+        m |= _bit(_integer(v, "vertex id", 0), "vertex id")
     return m
 
 
@@ -112,29 +127,27 @@ def ceil_log2(n: int) -> int:
     return (_integer(n, "ceil_log2 argument", 1) - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+class Graph(namedtuple("Graph", "n adj")):
+    """Immutable simple undirected graph on vertices 0..n-1, a named tuple
+    (n, adj).
 
     adj[v] is the neighbor bitset of v.  A graph is checked once, where it
     enters the package, and trusted everywhere after.  Graph(n, adj) keeps
     the rows as given and checks them all: integer n and rows, no vertex
-    >= n, no self-loop, and symmetry, one step per edge.  Builders whose rows are
-    symmetric, loop-free and below n by construction skip that walk through
-    the private Graph._built: from_edges, parse_edge_list and parse_graph6
+    >= n, no self-loop, and symmetry, one step per edge; _make, and so
+    _replace, checks the same way.  Builders whose rows are symmetric,
+    loop-free and below n by construction skip that walk through the
+    private Graph._built: from_edges, parse_edge_list and parse_graph6
     after their own checks of n and of each edge, line or byte; and
     induced_subgraph, cayley.cayley_graph and verify.enumerate_labeled_graphs,
     whose rows come from a checked graph, a checked group or a plain count.
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = _integer(self.n, "vertex count", 0)
-        adj = tuple(_iterable(self.adj, "adjacency must be a sequence of rows"))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        n = _integer(n, "vertex count", 0)
+        adj = tuple(_iterable(adj, "adjacency must be a sequence of rows"))
         if len(adj) != n:
             raise DomainError(f"adjacency has {len(adj)} rows for n={n}")
         for v, row in enumerate(adj):
@@ -147,15 +160,15 @@ class Graph:
             for u in bits_of(row):
                 if not adj[u] >> v & 1:
                     raise DomainError(f"asymmetric edge {v}-{u}")
+        return tuple.__new__(cls, (n, adj))
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def _built(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """A graph from rows that are symmetric, loop-free and below n by
         construction, made without the checks of Graph(n, adj)."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
-        return g
+        return tuple.__new__(cls, (n, adj))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -461,20 +474,20 @@ def subsets_of_size(n: int, s: int):
     The arguments are checked at the call; the subsets come from a generator.
     """
     n = _integer(n, "set size", 0)
-    return _gosper(n, _integer(s, "subset size", 0, n))
+    s = _integer(s, "subset size", 0, n)
+    return _gosper(_bit(n, "set size"), s)
 
 
-def _gosper(n: int, s: int):
-    """subsets_of_size for checked arguments, by Gosper's hack: each step
-    produces the next-larger int with the same popcount.  The numeric order
-    is the package-wide canonical subset order; tie-breaks elsewhere mean
-    "smallest mask in this order".
+def _gosper(limit: int, s: int):
+    """subsets_of_size for checked arguments, the set given as limit = 1 << n,
+    by Gosper's hack: each step produces the next-larger int with the same
+    popcount.  The numeric order is the package-wide canonical subset order;
+    tie-breaks elsewhere mean "smallest mask in this order".
     """
     if s == 0:
         yield 0
         return
     x = (1 << s) - 1
-    limit = 1 << n
     while x < limit:
         yield x
         low = x & -x
@@ -491,8 +504,8 @@ def subsets_of_mask(mask: int, s: int):
     k = len(members)
     s = _integer(s, "subset size", 0, k)
     if mask == (1 << k) - 1:  # contiguous: no index translation needed
-        return _gosper(k, s)
-    return _spread(members, _gosper(k, s))
+        return _gosper(1 << k, s)
+    return _spread(members, _gosper(1 << k, s))
 
 
 def _spread(members: list[int], idx_masks):

@@ -24,7 +24,7 @@ that decides whether a certificate is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import (Graph, _check_subset, _instance, _integer, max_degree_within,
                    subsets_of_mask, subsets_of_size)
@@ -41,32 +41,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubdimCertificate:
-    """Value of the inner minimum plus the subset achieving it.
+class SubdimCertificate(namedtuple("SubdimCertificate", "value witness_min host_size")):
+    """Value of the inner minimum plus the subset achieving it, all ints.
 
     witness_min has exactly floor(host_size/2) + 1 vertices of the host and
     its induced maximum degree equals value; _replay_subdim checks both,
     which proves subdim of the host <= value.
     """
 
-    value: int
-    witness_min: int
-    host_size: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DimCertificate:
-    """Value of the outer maximum plus the host subset achieving it.
+class DimCertificate(namedtuple("DimCertificate", "value witness_max inner")):
+    """Value of the outer maximum (an int) plus the host subset achieving it
+    (a bitset).
 
-    inner is the certificate for the maximizing host; _replay_dim checks it
-    and the oracle's subdim of that host, which proves dim >= value.  inner
-    is None only for the empty graph.
+    inner is the SubdimCertificate for the maximizing host; _replay_dim
+    checks it and the oracle's subdim of that host, which proves
+    dim >= value.  inner is None only for the empty graph.
     """
 
-    value: int
-    witness_max: int
-    inner: SubdimCertificate | None
+    __slots__ = ()
 
 
 def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:

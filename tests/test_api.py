@@ -1,10 +1,12 @@
 """The public API is declared once: in each layer module's __all__."""
 
 import ast
+import copy
 import importlib
 import inspect
 import json
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
@@ -12,7 +14,9 @@ import types
 import pytest
 
 import graphdim
-from graphdim import Coloring, DomainError, Embedding
+from graphdim import (AbelianGroup, Coloring, DecompositionRound, DimCertificate, DomainError,
+                      Embedding, EmbeddingReport, GeneratorSet, Graph, SubdimCertificate, is_proper,
+                      path_graph)
 
 from helpers import subprocess_env
 
@@ -74,6 +78,77 @@ def test_public_namespace_is_unchanged():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=subprocess_env(), check=True)
     assert json.loads(proc.stdout) == _PUBLIC
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # start-up is most of the wall time of a small request, and dataclasses
+    # alone pulls in inspect, ast, dis and tokenize; -I keeps site-packages
+    # and the environment out, and a module loaded before the import counts
+    # for neither side
+    root = str(pathlib.Path(graphdim.__file__).resolve().parents[1])
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import graphdim, graphdim.cli; print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, root], capture_output=True,
+                          text=True, check=True)
+    added = json.loads(proc.stdout)
+    assert "graphdim.cli" in added
+    assert not {"dataclasses", "inspect"} & set(added)
+
+
+# each record class: an instance, its repr (the form of the dataclasses the
+# records were before), and for a checked class a field value its checks refuse
+_RECORDS = [
+    (Graph(2, (2, 1)), "Graph(n=2, adj=(2, 1))", {"adj": (2, 0)}),
+    (SubdimCertificate(1, 6, 4), "SubdimCertificate(value=1, witness_min=6, host_size=4)", None),
+    (DimCertificate(1, 15, SubdimCertificate(1, 6, 4)),
+     "DimCertificate(value=1, witness_max=15, "
+     "inner=SubdimCertificate(value=1, witness_min=6, host_size=4))", None),
+    (Coloring((0, 1, 0)), "Coloring(colors=(0, 1, 0), palette_size=2)", {"colors": (0, 2)}),
+    (DecompositionRound(6, 1, 0), "DecompositionRound(chunk=6, chunk_delta=1, palette_offset=0)",
+     None),
+    (Embedding(1, ((0,), (1,))), "Embedding(ambient_dim=1, points=((0,), (1,)))", None),
+    (EmbeddingReport(2, True, False),
+     "EmbeddingReport(ambient_dim=2, edges_ok=True, distinct_ok=False)", None),
+    (AbelianGroup((2, 3)), "AbelianGroup(orders=(2, 3))", {"orders": (2, 0)}),
+    (GeneratorSet([1]), "GeneratorSet(elements=frozenset({1}))", {"elements": [1.5]}),
+]
+
+
+@pytest.mark.parametrize("record,text,bad", _RECORDS,
+                         ids=[type(record).__name__ for record, _, _ in _RECORDS])
+def test_records_are_immutable_values_checked_on_every_build(record, text, bad):
+    cls = type(record)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")
+    # equal fields, equal records and equal hashes, the hash of the field tuple
+    for twin in (cls._make(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and type(twin) is cls and hash(twin) == hash(record)
+    assert hash(record) == hash(tuple(record))
+    if bad is not None:
+        with pytest.raises(DomainError):
+            record._replace(**bad)
+        with pytest.raises(DomainError):
+            cls._make({**record._asdict(), **bad}.values())
+
+
+def test_a_coloring_derives_its_palette_and_is_no_sequence_of_colors():
+    col = Coloring((0, 1, 0))
+    assert col._replace(colors=(0, 1, 2)).palette_size == 3
+    with pytest.raises(TypeError):
+        col._replace(palette_size=3)
+    with pytest.raises(DomainError, match="^palette_size 3 differs from the 2 colors used$"):
+        Coloring._make(((0, 1, 0), 3))
+    # a Coloring unpacks to (colors, palette_size): as labels, (0, 0) and 1
+    # would pass for a proper coloring of an edge
+    for g, bad in ((path_graph(3), col), (path_graph(2), Coloring((0, 0)))):
+        with pytest.raises(DomainError, match=r"^colors must be a sequence of color ids, got "):
+            is_proper(g, bad)
+        with pytest.raises(DomainError, match=r"^colors must be a sequence of color ids, got "):
+            Coloring(bad)
 
 
 def test_cli_imports_no_checking_primitive():

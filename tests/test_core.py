@@ -651,6 +651,27 @@ def test_builders_refuse_a_vertex_count_too_large_to_allocate(call, count):
     assert str(err.value) == f"vertex count {count} too large"
 
 
+# a bitset of 2**64 bits is refused by its size alone, before any memory is taken
+_HUGE_GROUP = AbelianGroup((2**64,))
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: cayley_graph(_HUGE_GROUP, GeneratorSet({1, 2**64 - 1})),
+                 f"vertex id {2**64 - 1} too large", id="cayley-generators"),
+    pytest.param(lambda: cayley_graph(_HUGE_GROUP, GeneratorSet({})),
+                 f"group size {2**64} too large", id="cayley-no-generators"),
+    pytest.param(lambda: translate(_HUGE_GROUP, 0, 0), f"group size {2**64} too large",
+                 id="translate"),
+    pytest.param(lambda: next(subsets_of_size(2**64, 1)), f"set size {2**64} too large",
+                 id="subsets_of_size"),
+    pytest.param(lambda: mask_of([3, 2**64]), f"vertex id {2**64} too large", id="mask_of"),
+])
+def test_bitsets_too_large_to_make_are_refused(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_hypercube_degrees():
     for n in (1, 2, 3, 4):
         g = hypercube_graph(n)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -237,7 +236,7 @@ def test_oracle_suite_fails_a_witness_that_is_not_a_majority(monkeypatch):
     # both routes agree on a witness one vertex short, so only its replay refuses it
     def short(g, subset):
         cert = subdim_naive(g, subset)
-        return dataclasses.replace(cert, witness_min=cert.witness_min & (cert.witness_min - 1))
+        return cert._replace(witness_min=cert.witness_min & (cert.witness_min - 1))
 
     monkeypatch.setattr(verify, "subdim", short)
     monkeypatch.setattr(verify, "subdim_naive", short)
