@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import Graph, _check_subset, _instance, _integer, _permutation, bits_of, ceil_log2
+from .core import (Graph, _check_subset, _instance, _integer, _iterable, _permutation, bits_of,
+                   ceil_log2)
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -36,15 +37,15 @@ __all__ = [
 
 def _labels(colors) -> tuple:
     """colors as a tuple of hashable labels; anything else is refused with
-    DomainError, as the coloring kind's input.  A Coloring is refused too:
-    it is a tuple, but of its colors and palette_size."""
+    DomainError, as the coloring kind's input.  A Coloring is refused too,
+    as every record of the package is: it is a tuple, but of its colors and
+    palette_size."""
+    rule = "colors must be a sequence of color ids"
     try:
-        if type(colors) is Coloring:
-            raise TypeError
-        colors = tuple(colors)
+        colors = tuple(_iterable(colors, rule))
         hash(colors)
     except TypeError:
-        raise DomainError(f"colors must be a sequence of color ids, got {colors!r}") from None
+        raise DomainError(f"{rule}, got {colors!r}") from None
     return colors
 
 

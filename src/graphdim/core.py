@@ -19,6 +19,8 @@ from collections import namedtuple
 
 from .errors import DomainError, ParseError
 
+_PACKAGE = __name__.rpartition(".")[0] + "."  # "graphdim.", the prefix of its modules
+
 __all__ = [
     "Graph",
     "bits_of",
@@ -63,8 +65,13 @@ def _integer(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
 
 def _iterable(x, rule: str):
     """x itself once iter(x) accepts it, the one guard of every iterable
-    argument; anything else is refused with DomainError "{rule}, got {x!r}"."""
+    argument; anything else is refused with DomainError "{rule}, got {x!r}".
+    A record of this package (a Graph, a certificate, a Coloring, ...) is
+    refused too: it iterates over its fields, which are no sequence of
+    arguments.  A caller's own named tuple is accepted."""
     try:
+        if type(x).__module__.startswith(_PACKAGE):
+            raise TypeError
         iter(x)
     except TypeError:
         raise DomainError(f"{rule}, got {x!r}") from None

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (Graph, _check_subset, _instance, _integer, max_degree_within,
+from .core import (Graph, _check_subset, _instance, _integer, bits_of, max_degree_within,
                    subsets_of_mask, subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
@@ -246,18 +246,106 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     incumbent.  The settled sets are the full set's witness and the witness
     of every decision scan, each grown by adding vertices in ascending order
     while its max degree stays within the incumbent; they stay settled as
-    the incumbent rises.  A settled host has subdim at most the incumbent,
-    exactly what its decision scan would have shown, so the certificates
-    equal those of scanning every even host.  The other hosts are scanned
-    upward from the incumbent.  The reported witness is the first host, in
-    order of decreasing size and then ascending mask, that reached the final
-    value.
+    the incumbent rises.  A host that no settled set settles is settled by
+    a greedy majority when one exists: drop the member with the most
+    neighbors inside the host (the lowest on ties) until the rest has max
+    degree at most the incumbent, or until only m/2 + 1 members are left;
+    the rest, grown the same way, joins the settled sets.  A settled host
+    has subdim at most the incumbent, exactly what its decision scan would
+    have shown, so the certificates equal those of scanning every even
+    host: a host with subdim above the incumbent holds no m/2 + 1 vertices
+    of max degree at most the incumbent, so neither route settles it and
+    it always reaches the decision scan, which raises the incumbent at the
+    same hosts in the same order.  The other hosts are scanned upward from
+    the incumbent.
+
+    The last size the scan visits, m = 2b + 2 for the incumbent b, is
+    decided without enumerating its hosts.  There s = b + 2, subdim(S) <=
+    b + 1 for every host S, and subdim(S) = b + 1 exactly when (i) at least
+    b + 1 members of S are adjacent to every other member of S, or (ii) b
+    is odd and every member of S is non-adjacent to at most one other.
+    Proof: an s-set T has max degree <= b = s - 2 exactly when every member
+    of T has a non-neighbor in T, that is, when the complement of G[T] has
+    no isolated vertex.  Let N be the members of S not isolated in the
+    complement of G[S]; its components there have two or more vertices
+    each.  A component of c >= 3 vertices supplies any count from 2 to c
+    (delete leaves of a spanning tree one at a time), a single edge only 0
+    or 2.  So such a T exists exactly when |N| >= b + 2 and, if b + 2 is
+    odd, some component has three or more vertices; |N| < b + 2 is (i), and
+    components that are all single edges are (ii).  The first host with
+    subdim b + 1, in ascending mask order, is the lesser of the first host
+    of (i), U plus the lowest b + 1 common neighbors of U minimized over
+    the (b + 1)-cliques U, and, for odd b, the first host of (ii), the
+    smallest 2b + 2 vertices whose complement has max degree <= 1 as found
+    by subdim_exists.  Only that host is scanned, and no later size is
+    visited.  The reported witness is the first host, in order of
+    decreasing size and then ascending mask, that reached the final value.
     """
     _instance(g, Graph, "graph must be a Graph")
     require_within_cap(g.n, cap, "dim_exact")
     if g.n == 0:
         return DimCertificate(value=0, witness_max=0, inner=None)
     return _dim_search(g, subdim(g, g.vertex_mask))
+
+
+def _first_clique_host(g: Graph, k: int) -> int | None:
+    """The least U | lowest k of C(U) over the k-cliques U of the graph,
+    where C(U) is the set of vertices adjacent to every member of U; None
+    when no k-clique has k common neighbors."""
+    adj = g.adj
+    first = None
+
+    def extend(u, common, cand, need):
+        # u is a clique, common the vertices adjacent to all of u and cand
+        # the part of common above u's highest member
+        nonlocal first
+        if not need:
+            rest = common
+            for _ in range(k):
+                rest &= rest - 1
+            host = u | common ^ rest
+            if first is None or host < first:
+                first = host
+            return
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if first is not None and u | low > first:
+                return  # every host through u | low is larger
+            c = common & adj[low.bit_length() - 1]
+            if c.bit_count() >= need - 1 + k:  # room for the rest of U and for k more
+                extend(u | low, c, c & cand, need - 1)
+
+    extend(0, g.vertex_mask, g.vertex_mask, k)
+    return first
+
+
+def _last_class_hosts(g: Graph, b: int) -> list[int]:
+    """The first host of size 2b + 2, in ascending mask order, with subdim
+    b + 1, as a list of at most one host; dim_exact's docstring gives the
+    lemma."""
+    hosts = [_first_clique_host(g, b + 1)]
+    if b % 2:
+        full = g.vertex_mask
+        co = Graph._built(g.n, tuple(full ^ row ^ 1 << v for v, row in enumerate(g.adj)))
+        hosts.append(subdim_exists(co, full, 2 * b + 2, 1))
+    hosts = [host for host in hosts if host is not None]
+    return [min(hosts)] if hosts else []
+
+
+def _greedy_majority(adj, host: int, s: int, best: int) -> int:
+    """A subset of the host with at least s members and max degree <= best,
+    found by dropping the member with the most neighbors inside (the lowest
+    on ties); 0 when the drops reach s members first."""
+    members = bits_of(host)
+    while True:
+        degrees = [(adj[v] & host).bit_count() for v in members]
+        top = max(degrees)
+        if top <= best:
+            return host
+        if len(members) == s:
+            return 0
+        host ^= 1 << members.pop(degrees.index(top))
 
 
 def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
@@ -292,11 +380,19 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
         if size <= 2 * best:
             break
         s = size // 2 + 1
-        for host in subsets_of_size(g.n, size):
+        if size == 2 * best + 2:  # the last size: the lemma picks its one host to scan
+            hosts = _last_class_hosts(g, best)
+        else:
+            hosts = subsets_of_size(g.n, size)
+        for host in hosts:
             for m in settled:
                 if (m & host).bit_count() >= s:
                     break
             else:
+                rest = _greedy_majority(adj, host, s, best)
+                if rest:
+                    settled.append(grown(rest))
+                    continue
                 value, witness = _subdim_scan(g, host, s, best)
                 if value > best:
                     best = value

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from graphdim.core import (
     hypercube_graph,
     mask_of,
 )
-from graphdim.dimension import dim_exact, subdim
+from graphdim.dimension import SubdimCertificate, dim_exact, subdim
 from graphdim.errors import CapExceeded, DomainError
 
 
@@ -61,6 +62,8 @@ def test_encode_reduces_residues():
     grp = AbelianGroup((5,))
     assert grp.encode((7,)) == 2
     assert grp.encode((-1,)) == 4
+    # a caller's own named tuple is a sequence of coordinates
+    assert grp.encode(namedtuple("Point", "x")(7)) == 2
 
 
 def test_constructors_take_integers_exactly():
@@ -96,6 +99,9 @@ def test_constructors_take_integers_exactly():
                  "element must be a sequence of coordinates, got 5", id="encode-int"),
     pytest.param(lambda: GeneratorSet(5), "generators must be an iterable of element ids, got 5",
                  id="generators-int"),
+    pytest.param(lambda: GeneratorSet(SubdimCertificate(1, 2, 3)),
+                 r"^generators must be an iterable of element ids, got SubdimCertificate\(",
+                 id="generators-record"),
 ])
 def test_group_refusals(call, message):
     with pytest.raises(DomainError, match=message):

@@ -721,13 +721,15 @@ def test_compute_subdim_of_empty_graph_rejected(tmp_path):
 
 def test_compute_all_scans_the_full_vertex_set_once(monkeypatch):
     # one ascending scan on d decides subdim(V) = value with value + 1 calls;
-    # every later use of subdim(V) must reuse that certificate
+    # every later use of subdim(V) must reuse that certificate (dim_exact's
+    # search on the complement graph is not a use of it)
     full_calls = 0
     real = dimension.subdim_exists
+    graph = cycle_graph(9)
 
     def counting(g, subset, s, d):
         nonlocal full_calls
-        if subset == g.vertex_mask:
+        if g == graph and subset == g.vertex_mask:
             full_calls += 1
         return real(g, subset, s, d)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import graphdim
 import graphdim.core as core
 from graphdim.cayley import AbelianGroup, GeneratorSet, cayley_graph, translate
+from graphdim.coloring import DecompositionRound
 from graphdim.core import (
     Graph,
     bits_of,
@@ -30,6 +31,7 @@ from graphdim.core import (
     subsets_of_size,
 )
 from graphdim.dimension import subdim, subdim_exists, subdim_naive
+from graphdim.embedding import Embedding
 from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input, parse_cayley_spec
 from graphdim.verify import enumerate_labeled_graphs
@@ -84,8 +86,11 @@ def test_public_constructor_refuses_with_its_messages(n, rows, message):
     (lambda: Graph.from_edges(3, [(0, 1, 2)]), "an edge is a pair of vertices, got (0, 1, 2)"),
     (lambda: Graph.from_edges(3, [5]), "an edge is a pair of vertices, got 5"),
     (lambda: Graph.from_edges(3, None), "edges must be an iterable of pairs, got None"),
+    # a record iterates over its fields, which are no rows
+    (lambda: Graph(2, Embedding(2, 1)),
+     "adjacency must be a sequence of rows, got Embedding(ambient_dim=2, points=1)"),
 ], ids=["float-row", "float-n", "no-rows", "float-endpoint", "float-n-edges",
-        "negative-n-edges", "triple", "bare-vertex", "no-edges"])
+        "negative-n-edges", "triple", "bare-vertex", "no-edges", "record-rows"])
 def test_malformed_construction_raises_domain_error(build, message):
     with pytest.raises(DomainError) as err:
         build()
@@ -130,6 +135,8 @@ _Z23 = AbelianGroup((2, 3))
     (lambda: mask_of([1.5]), "vertex id must be an integer, got 1.5"),
     (lambda: mask_of(["1"]), "vertex id must be an integer, got '1'"),
     (lambda: mask_of(5), "vertices must be an iterable of vertex ids, got 5"),
+    (lambda: mask_of(DecompositionRound(1, 2, 3)), "vertices must be an iterable of vertex ids,"
+     " got DecompositionRound(chunk=1, chunk_delta=2, palette_offset=3)"),
     (lambda: bits_of(1.5), "vertex set must be an integer, got 1.5"),
     (lambda: bits_of("1"), "vertex set must be an integer, got '1'"),
     (lambda: next(subsets_of_size(4, 1.5)), "subset size must be an integer, got 1.5"),
@@ -147,10 +154,10 @@ _Z23 = AbelianGroup((2, 3))
     (lambda: graphdim.decomposition_round_bound("3"), "vertex count must be an integer, got '3'"),
     (lambda: graphdim.chromatic_bound_from_dim(1.5, 4), "dim value must be an integer, got 1.5"),
     (lambda: graphdim.chromatic_bound_from_dim(1, 4.0), "vertex count must be an integer, got 4.0"),
-], ids=["mask-float", "mask-str", "mask-int", "bits-float", "bits-str", "subsets-s", "subsets-n",
-        "subsets-of-mask-s", "subsets-of-mask-set", "exists-size", "exists-degree",
-        "translate-set", "translate-element", "decode", "add", "ceil-log2", "round-bound",
-        "round-bound-str", "chi-bound-dim", "chi-bound-n"])
+], ids=["mask-float", "mask-str", "mask-int", "mask-record", "bits-float", "bits-str",
+        "subsets-s", "subsets-n", "subsets-of-mask-s", "subsets-of-mask-set", "exists-size",
+        "exists-degree", "translate-set", "translate-element", "decode", "add", "ceil-log2",
+        "round-bound", "round-bound-str", "chi-bound-dim", "chi-bound-n"])
 def test_non_integer_arguments_of_the_helpers_raise_domain_error(call, message):
     with pytest.raises(DomainError) as err:
         call()

@@ -21,6 +21,7 @@ from graphdim.core import (
     path_graph,
     relabel,
     subsets_of_mask,
+    subsets_of_size,
 )
 from graphdim.cli import cmd_compute
 from graphdim.coloring import chromatic_number
@@ -509,7 +510,7 @@ def _decision_hosts(monkeypatch):
 
 def test_dim_scans_no_odd_proper_host(monkeypatch):
     hosts = _decision_hosts(monkeypatch)
-    for g in (cycle_graph(9), complete_bipartite_graph(3, 7),
+    for g in (path_graph(11), complete_bipartite_graph(3, 7),
               random_graph(random.Random(32), 10)):
         del hosts[:]
         dim_exact(g)
@@ -535,7 +536,7 @@ def test_dim_decision_call_counts(monkeypatch):
         del hosts[:]
         dim_exact(g)
         counts.append(len(hosts))
-    assert counts == [6, 8, 29]
+    assert counts == [3, 3, 6]
 
 
 # sha256 of the certificates of test_dim_certificates_pinned's 210 graphs,
@@ -555,6 +556,63 @@ def test_dim_certificates_pinned():
                 rows.append((cert.value, cert.witness_max, inner.value, inner.witness_min,
                              inner.host_size))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _DIM_CERTIFICATES_DIGEST
+
+
+# sha256 of the dim_exact certificates of one seeded graph for each
+# n = 18, 19, 20 and p = 0.5, 0.7, 0.9, recorded with a host scan that
+# enumerated every even size; the closed-form last size fires most here
+_DIM_FRONTIER_DIGEST = "cf45b35dfc9fedb93962c5e873d5717fe43b75c6a9d6c0af9ba1154720ae664f"
+
+
+def test_dim_frontier_certificates_pinned():
+    rng = random.Random(1820)
+    rows = []
+    for n in (18, 19, 20):
+        for p in (0.5, 0.7, 0.9):
+            g = random_graph(rng, n, p)
+            cert = dim_exact(g, cap=g.n)
+            inner = cert.inner
+            rows.append((cert.value, cert.witness_max, inner.value, inner.witness_min,
+                         inner.host_size))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _DIM_FRONTIER_DIGEST
+
+
+def _lemma_holds(g, host):
+    """dim_exact's lemma for a host of size m = 2b + 2: (i) at least b + 1
+    members are adjacent to every other member, or (ii) b is odd and every
+    member is non-adjacent to at most one other."""
+    b = host.bit_count() // 2 - 1
+    missed = [(host & ~g.adj[v]).bit_count() - 1 for v in bits_of(host)]
+    return missed.count(0) >= b + 1 or (b % 2 == 1 and max(missed) <= 1)
+
+
+_LEMMA_GRAPHS = [random_graph(random.Random(f"{n}/{p}/{k}"), n, p)
+                 for n in range(2, 11) for p in (0.3, 0.5, 0.7, 0.85, 0.95, 1.0)
+                 for k in range(2)]
+
+
+def test_last_host_size_lemma():
+    # subdim of a host of size 2b + 2 is at most b + 1, and b + 1 exactly
+    # when the lemma holds
+    held = 0
+    for g in _LEMMA_GRAPHS:
+        for host in range(3, 1 << g.n):
+            m = host.bit_count()
+            if m % 2 == 0:
+                value = subdim_naive(g, host).value
+                assert value <= m // 2
+                assert (value == m // 2) == _lemma_holds(g, host)
+                held += value == m // 2
+    assert held
+
+
+def test_last_host_size_finder_returns_the_first_host():
+    for g in _LEMMA_GRAPHS:
+        for b in range(g.n // 2):
+            m = 2 * b + 2
+            first = next((host for host in subsets_of_size(g.n, m)
+                          if subdim_naive(g, host).value == b + 1), None)
+            assert dimension._last_class_hosts(g, b) == ([] if first is None else [first])
 
 
 def test_dim_cap_enforced():
