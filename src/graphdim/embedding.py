@@ -164,14 +164,18 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     """Text export, one line per vertex: 'v c x_0 ... x_{2k-1}', each ending
     in a newline, so a graph with no vertices gives empty text.
 
-    Coordinates are written exactly, as integers or reduced fractions p/q.
+    Coordinates are written exactly, by their value, as integers or reduced
+    fractions p/q: False and True are written 0 and 1, as verify_embedding
+    reads them.
     Raises DomainError for a malformed embedding, as verify_embedding does.
     """
+    from fractions import Fraction  # imported here, as in unit_distance_embed
+
     points = _checked_points(emb)[1]
     _instance(col, Coloring, "coloring must be a Coloring")
     if len(col.colors) != len(points):
         raise DomainError("coloring and embedding cover different vertex counts")
-    return "".join(f"{v} {c} {' '.join(map(str, point))}\n"
+    return "".join(f"{v} {c} {' '.join(str(Fraction(x)) for x in point)}\n"
                    for v, (c, point) in enumerate(zip(col.colors, points)))
 
 

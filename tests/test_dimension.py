@@ -28,6 +28,7 @@ from graphdim.coloring import chromatic_number
 from graphdim.dimension import (
     DimCertificate,
     SubdimCertificate,
+    _degree_core,
     _replay_dim,
     _replay_subdim,
     dim_exact,
@@ -171,6 +172,21 @@ def test_subdim_exists_is_the_first_fitting_subset_property(case):
     assert subdim_exists(g, host, s, d) == want
 
 
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_decision_cases())
+def test_degree_core_keeps_every_fitting_subset_property(case):
+    # a vertex with more than d + |host| - s neighbors in the host lies in no
+    # s-subset of max degree <= d, so deleting it, again and again, keeps
+    # every such subset; a core smaller than s means there is none
+    g, host, s, d = case
+    core = _degree_core(g.adj, host, s, d)
+    fitting = [m for m in subsets_of_mask(host, s) if max_degree_within(g, m) <= d]
+    assert not core & ~host
+    assert all(not m & ~core for m in fitting)
+    if core.bit_count() < s:
+        assert not fitting
+
+
 def test_subdim_of_the_5_cube_is_theorem1s_ceil_sqrt_5():
     q5 = hypercube_graph(5)
     assert subdim(q5, q5.vertex_mask) == SubdimCertificate(3, 4161512, 32)
@@ -208,14 +224,16 @@ class _CountedRows(tuple):
 
 
 def test_dense_scans_read_few_adjacency_rows():
-    # the budget bounds prune only selection-free branches, so no output shows
-    # them; the search's adjacency-row reads do.  Before the budgets the 20
-    # scans read 594,483 rows; a budget one too loose reads 35,811 or more
+    # the budget bounds and the degree core prune only selection-free
+    # branches, so no output shows them; the search's adjacency-row reads do.
+    # Before the budgets the 20 scans read 594,483 rows; a budget one too
+    # loose reads 35,811 or more; with the budgets but before the degree
+    # core, 25,055
     _CountedRows.reads = 0
     for g in _dense_graphs():
         g = Graph._built(g.n, _CountedRows(g.adj))
         subdim(g, g.vertex_mask)
-    assert _CountedRows.reads <= 25_055
+    assert _CountedRows.reads <= 9_839
 
 
 def test_oracle_reads_few_adjacency_rows():

@@ -344,6 +344,14 @@ def test_format_embedding_layout():
         assert tuple(Fraction(x) for x in fields[2:]) == emb.points[v]
 
 
+def test_format_embedding_writes_bool_coordinates_by_value():
+    # bool is an int: verify_embedding reads False and True as 0 and 1, and
+    # the file says so too
+    emb = Embedding(1, ((False,), (True,)))
+    assert format_embedding(emb, Coloring((0, 1))) == "0 0 0\n1 1 1\n"
+    assert verify_embedding(path_graph(2), emb).ok
+
+
 def test_import_leaves_fractions_and_decimal_unloaded():
     # unit_distance_embed imports Fraction when called: at module level it
     # would load decimal on every `import graphdim` and slow start-up
