@@ -20,7 +20,8 @@ import math
 import operator
 from collections import namedtuple
 
-from .core import Graph, _bit, _checked_make, _instance, _integer, _iterable, mask_of
+from .core import (Graph, _bit, _checked_make, _count, _entries, _instance, _integer, _iterable,
+                   mask_of)
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -56,9 +57,10 @@ class AbelianGroup(namedtuple("AbelianGroup", "orders")):
 
     def encode(self, element) -> int:
         """Mixed-radix id of a residue tuple (first coordinate least significant)."""
-        element = tuple(_iterable(element, "element must be a sequence of coordinates"))
-        if len(element) != len(self.orders):
-            raise DomainError(f"element has {len(element)} coordinates, wanted {len(self.orders)}")
+        rank = len(self.orders)
+        element = _entries(element, "element must be a sequence of coordinates", rank)
+        if len(element) != rank:
+            raise DomainError(f"element has {_count(element, rank)} coordinates, wanted {rank}")
         eid = 0
         stride = 1
         for a, n in zip(element, self.orders):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (Graph, _check_subset, _instance, _integer, _iterable, _permutation, bits_of,
+from .core import (Graph, _check_subset, _entries, _instance, _integer, _permutation, bits_of,
                    ceil_log2)
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
@@ -35,14 +35,14 @@ __all__ = [
 ]
 
 
-def _labels(colors) -> tuple:
+def _labels(colors, n: int | None = None) -> tuple:
     """colors as a tuple of hashable labels; anything else is refused with
     DomainError, as the coloring kind's input.  A Coloring is refused too,
     as every record of the package is: it is a tuple, but of its colors and
-    palette_size."""
+    palette_size.  With n, at most n + 1 labels are read (see _entries)."""
     rule = "colors must be a sequence of color ids"
     try:
-        colors = tuple(_iterable(colors, rule))
+        colors = _entries(colors, rule, n)
         hash(colors)
     except TypeError:
         raise DomainError(f"{rule}, got {colors!r}") from None
@@ -94,7 +94,7 @@ def is_proper(g: Graph, colors) -> bool:
     vertex may have a neighbour in its own class.  This is the replay of a
     coloring certificate; colors that are not such labels raise DomainError."""
     _instance(g, Graph, "graph must be a Graph")
-    colors = _labels(colors)
+    colors = _labels(colors, g.n)
     if len(colors) != g.n:
         return False
     classes = dict.fromkeys(colors, 0)

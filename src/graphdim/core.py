@@ -86,10 +86,26 @@ def _instance(x, cls, rule: str):
     return x
 
 
+def _entries(x, rule: str, n: int | None = None) -> tuple:
+    """The entries of x, checked by _iterable, as a tuple; a tuple is kept,
+    not copied.  With n, the length x must have, at most n + 1 entries of
+    any other iterable are read: an argument too long by any amount is
+    refused one entry past n, never read to its end."""
+    x = _iterable(x, rule)
+    if n is None or type(x) is tuple:
+        return tuple(x)
+    return tuple(itertools.islice(x, min(n, sys.maxsize - 1) + 1))
+
+
+def _count(entries: tuple, n: int):
+    """len(entries) as a message gives it, where _entries read at most n + 1."""
+    return len(entries) if len(entries) <= n else f"more than {n}"
+
+
 def _permutation(perm, n: int, what: str) -> list[int]:
     """perm as a list of ints, refused unless it is a permutation of 0..n-1."""
     rule = f"{what} must be a permutation of 0..n-1"
-    perm = [_integer(v, f"{what} entry") for v in _iterable(perm, rule)]
+    perm = [_integer(v, f"{what} entry") for v in _entries(perm, rule, n)]
     if sorted(perm) != list(range(n)):
         raise DomainError(rule)
     return perm
@@ -154,9 +170,9 @@ class Graph(namedtuple("Graph", "n adj")):
 
     def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         n = _integer(n, "vertex count", 0)
-        adj = tuple(_iterable(adj, "adjacency must be a sequence of rows"))
+        adj = _entries(adj, "adjacency must be a sequence of rows", n)
         if len(adj) != n:
-            raise DomainError(f"adjacency has {len(adj)} rows for n={n}")
+            raise DomainError(f"adjacency has {_count(adj, n)} rows for n={n}")
         for v, row in enumerate(adj):
             _integer(row, f"adjacency row of {v}")
             if row >> n:  # O(len(row)); masking with ~full costs O(n) per row
@@ -505,23 +521,11 @@ def _gosper(limit: int, s: int):
 def subsets_of_mask(mask: int, s: int):
     """All size-s subsets of an arbitrary bitset, in increasing numeric order.
 
-    The arguments are checked at the call; the subsets come from a generator.
+    The subsets are walked in index space, as subsets_of_size(k, s) of the k
+    members, and each index set is mapped to its members; the map is
+    monotone, so the order is the numeric one.  The arguments are checked at
+    the call; the subsets come from a generator.
     """
     members = bits_of(mask)
-    k = len(members)
-    s = _integer(s, "subset size", 0, k)
-    if mask == (1 << k) - 1:  # contiguous: no index translation needed
-        return _gosper(1 << k, s)
-    return _spread(members, _gosper(1 << k, s))
-
-
-def _spread(members: list[int], idx_masks):
-    """Each bitset of indices into members as the bitset of those members."""
-    for idx_mask in idx_masks:
-        sub = 0
-        rest = idx_mask
-        while rest:
-            low = rest & -rest
-            sub |= 1 << members[low.bit_length() - 1]
-            rest ^= low
-        yield sub
+    s = _integer(s, "subset size", 0, len(members))
+    return (sum(1 << members[i] for i in bits_of(idx)) for idx in _gosper(1 << len(members), s))

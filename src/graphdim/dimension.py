@@ -8,28 +8,30 @@ sets of the graph.  Because the induced maximum degree can only drop when
 vertices are removed, the inner minimum is attained at size exactly
 floor(m/2) + 1, and that is the only size the solvers enumerate.
 
-The solver comes in two independent routes: a brute-force oracle
-(``subdim_naive``) that visits and compares every majority subset, free of
+The solver comes in two independent routes.  A brute-force oracle
+(``subdim_naive``) visits and compares every majority subset, free of
 pruning (only the weighing of one subset stops early, once it cannot beat
-the best so far), and a pruned branch-and-bound (``subdim_exists`` /
-``subdim``) used for real work, which first reduces the host to its degree
-core (deleting vertices with too many neighbors to lie in any witness of
-four or more members), then cuts the neighbors of saturated members and
-rejects a pick that leaves a member too few non-neighbors to complete the
-selection within degree d.
+the best so far); it walks the host's own index space, the vertices 0..m-1
+of the induced subgraph, and maps only its witness back to the host.  A
+pruned branch-and-bound (``subdim_exists`` / ``subdim``) does the real
+work: it first reduces the host to its degree core (deleting vertices with
+too many neighbors to lie in any witness of four or more members), then
+cuts the neighbors of saturated members and rejects a pick that leaves a
+member too few non-neighbors to complete the selection within degree d.
 Both return the same value and the same witness: subsets are explored in
-increasing numeric bitset order, so the reported witness is always the
-numerically smallest optimal subset and certificates compare bit-for-bit
-across routes and runs.  _replay_subdim and _replay_dim are the one place
-that decides whether a certificate is valid.
+increasing numeric bitset order (the oracle's relabeling keeps that
+order), so the reported witness is always the numerically smallest optimal
+subset and certificates compare bit-for-bit across routes and runs.
+_replay_subdim and _replay_dim are the one place that decides whether a
+certificate is valid.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (Graph, _check_subset, _instance, _integer, bits_of, max_degree_within,
-                   subsets_of_mask, subsets_of_size)
+from .core import (Graph, _check_subset, _instance, _integer, bits_of, induced_subgraph,
+                   max_degree_within, subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -248,12 +250,19 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
     cannot beat the best.  best starts at s, above the max degree of any
     s-vertex set, so the witness is the first candidate that reaches the
     minimum.
+
+    The candidates are walked in the host's own index space: member i of
+    the host (ascending) is vertex i of its induced subgraph, which is g
+    itself when the host is the low block 0..m-1, and only the final
+    witness is mapped back to the members.  The map is monotone, so the
+    numeric order, and with it the first minimum, is the same in both.
     """
     subset, m, s = _majority(g, subset)
-    adj = g.adj
+    low_block = subset == (1 << m) - 1
+    adj = g.adj if low_block else induced_subgraph(g, subset).adj
     best = s
     best_witness = None
-    for cand in subsets_of_mask(subset, s):
+    for cand in subsets_of_size(m, s):
         delta = 0
         rest = cand
         while rest:
@@ -267,6 +276,8 @@ def subdim_naive(g: Graph, subset: int) -> SubdimCertificate:
         else:
             best = delta
             best_witness = cand
+    if not low_block:
+        best_witness = sum(1 << v for i, v in enumerate(bits_of(subset)) if best_witness >> i & 1)
     return SubdimCertificate(value=best, witness_min=best_witness, host_size=m)
 
 

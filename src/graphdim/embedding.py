@@ -116,7 +116,7 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     d, points = _checked_points(emb)
     if len(points) != g.n:
         raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
-    on = [0] * d
+    on = [0] * d if points else []  # no points: ambient_dim may be too large to allocate
     supports, keys, norm_of = [], [], []
     with_norm = {}  # squared norm as a reduced (numerator, denominator) -> bitset of its vertices
     for v, p in enumerate(points):

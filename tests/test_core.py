@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import graphdim
 import graphdim.core as core
 from graphdim.cayley import AbelianGroup, GeneratorSet, cayley_graph, translate
-from graphdim.coloring import DecompositionRound
+from graphdim.coloring import DecompositionRound, greedy_coloring, is_proper
 from graphdim.core import (
     Graph,
     bits_of,
@@ -677,6 +678,35 @@ def test_bitsets_too_large_to_make_are_refused(call, message):
     with pytest.raises(DomainError) as err:
         call()
     assert str(err.value) == message
+
+
+def _read_at_most(k):
+    """0, 1, 2, ... without end, failing the test when entry k + 1 is read."""
+    for i in itertools.count():
+        if i == k:
+            pytest.fail(f"read more than {k} entries")
+        yield i
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda it: greedy_coloring(path_graph(2), it),
+                 "order must be a permutation of 0..n-1", id="greedy_coloring"),
+    pytest.param(lambda it: relabel(path_graph(2), it),
+                 "perm must be a permutation of 0..n-1", id="relabel"),
+    pytest.param(lambda it: Graph(2, it), "adjacency has more than 2 rows for n=2", id="graph"),
+    pytest.param(lambda it: AbelianGroup((2, 3)).encode(it),
+                 "element has more than 2 coordinates, wanted 2", id="encode"),
+])
+def test_an_argument_of_known_length_is_read_one_entry_past_it(call, message):
+    # each call wants 2 entries, so it may read 3 of an endless iterable;
+    # an argument read to its end, such as range(10**12), runs out of memory
+    with pytest.raises(DomainError) as err:
+        call(_read_at_most(3))
+    assert str(err.value) == message
+
+
+def test_is_proper_reads_one_color_past_the_vertex_count():
+    assert is_proper(path_graph(2), _read_at_most(3)) is False
 
 
 def test_hypercube_degrees():

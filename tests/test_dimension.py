@@ -316,6 +316,14 @@ def test_oracle_equivalence_random_graphs():
         cert = subdim(g, g.vertex_mask)
         assert cert.value >= 2
         assert cert == subdim_naive(g, g.vertex_mask)
+    # dense hosts that are not the low block 0..m-1: the oracle relabels
+    # each to its induced subgraph and maps its witness back
+    for _ in range(8):
+        n = rng.randint(14, 16)
+        g = random_graph(rng, n, rng.uniform(0.6, 0.7))
+        host = g.vertex_mask & ~(1 << rng.randrange(n - 1)) & ~(1 << rng.randrange(n - 1))
+        assert host != (1 << host.bit_count()) - 1
+        assert subdim(g, host) == subdim_naive(g, host)
 
 
 def _oracle_sample():

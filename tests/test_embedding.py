@@ -145,6 +145,13 @@ def test_verifier_refuses_a_malformed_embedding(n, emb, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("d", [2**100, 10**12], ids=["2**100", "10**12"])
+def test_verifier_of_no_points_allocates_nothing_per_coordinate(d):
+    # no point has a coordinate, so nothing is allocated per coordinate:
+    # [0] * d raises OverflowError for 2**100 and MemoryError for 10**12
+    assert verify_embedding(Graph(0, ()), Embedding(d, ())) == (d, True, True)
+
+
 def test_verifier_single_vertex():
     g = path_graph(1)
     emb = unit_distance_embed(g, Coloring((0,)))
