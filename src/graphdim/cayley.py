@@ -20,8 +20,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .core import (Graph, _bit, _checked_make, _count, _entries, _instance, _integer, _iterable,
-                   mask_of)
+from .core import Graph, _bit, _checked_make, _count, _entries, _instance, _integer, mask_of
 from .dimension import DimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -43,7 +42,7 @@ class AbelianGroup(namedtuple("AbelianGroup", "orders")):
     __slots__ = ()
 
     def __new__(cls, orders: tuple[int, ...]) -> "AbelianGroup":
-        orders = _iterable(orders, "orders must be a sequence of cyclic orders")
+        orders = _entries(orders, "orders must be a sequence of cyclic orders")
         orders = tuple(_integer(n, "cyclic order", 1) for n in orders)
         if not orders:
             raise DomainError("group needs at least one cyclic factor")
@@ -91,7 +90,7 @@ class GeneratorSet(namedtuple("GeneratorSet", "elements")):
     __slots__ = ()
 
     def __new__(cls, elements) -> "GeneratorSet":
-        elements = _iterable(elements, "generators must be an iterable of element ids")
+        elements = _entries(elements, "generators must be an iterable of element ids")
         return tuple.__new__(cls, (frozenset(_integer(e, "generator") for e in elements),))
 
     _make = classmethod(_checked_make)

@@ -90,11 +90,16 @@ def _entries(x, rule: str, n: int | None = None) -> tuple:
     """The entries of x, checked by _iterable, as a tuple; a tuple is kept,
     not copied.  With n, the length x must have, at most n + 1 entries of
     any other iterable are read: an argument too long by any amount is
-    refused one entry past n, never read to its end."""
+    refused one entry past n, never read to its end.  Without n, x is read
+    to its end, and entries too many to hold are refused with DomainError
+    "{rule}, got one too large" (an endless iterator is read forever)."""
     x = _iterable(x, rule)
-    if n is None or type(x) is tuple:
+    if n is not None and type(x) is not tuple:
+        return tuple(itertools.islice(x, min(n, sys.maxsize - 1) + 1))
+    try:
         return tuple(x)
-    return tuple(itertools.islice(x, min(n, sys.maxsize - 1) + 1))
+    except MemoryError:
+        raise DomainError(f"{rule}, got one too large") from None
 
 
 def _count(entries: tuple, n: int):

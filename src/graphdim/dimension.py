@@ -141,9 +141,9 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
         if subset.bit_count() < s:
             return None
     origin = [subset] + [0] * (s - 1)  # per depth, the candidates it was entered with
-    pool = origin[:]  # per depth, candidates still to try, lowest first
-    for _ in range(s - 1):
-        pool[0] &= pool[0] - 1  # the lowest s - 1 host vertices stay free to lie below the pick
+    # per depth, candidates still to try, lowest first; the lowest s - 1
+    # host vertices stay free to lie below the pick
+    pool = [subset ^ _lowest(subset, s - 1)] + [0] * (s - 1)
     included = 0
     depth = 0
     while True:
@@ -205,6 +205,14 @@ def _degree_core(adj, host: int, s: int, d: int) -> int:
         host ^= drop
         if not drop or host.bit_count() < s:
             return host
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The lowest k members of a bitset, or all of it when it has fewer."""
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1
+    return mask ^ rest
 
 
 def _subdim_scan(g: Graph, subset: int, s: int, start: int) -> tuple[int, int]:
@@ -330,7 +338,11 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     of (i), U plus the lowest b + 1 common neighbors of U minimized over
     the (b + 1)-cliques U, and, for odd b, the first host of (ii), the
     smallest 2b + 2 vertices whose complement has max degree <= 1 as found
-    by subdim_exists.  Only that host is scanned, and no later size is
+    by subdim_exists.  That host gets its certificate without a search:
+    value b + 1 and witness its lowest b + 2 members.  Any b + 2 vertices
+    have max degree at most b + 1, and by the lemma none of the host's have
+    b or less, so its lowest b + 2 members are the numerically smallest
+    witness, the one a decision scan would return.  No later size is
     visited.  The reported witness is the first host, in order of
     decreasing size and then ascending mask, that reached the final value.
     """
@@ -344,46 +356,50 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
 def _first_clique_host(g: Graph, k: int) -> int | None:
     """The least U | lowest k of C(U) over the k-cliques U of the graph,
     where C(U) is the set of vertices adjacent to every member of U; None
-    when no k-clique has k common neighbors."""
-    adj = g.adj
-    first = None
+    when no k-clique has k common neighbors.
 
-    def extend(u, common, cand, need):
-        # u is a clique, common the vertices adjacent to all of u and cand
-        # the part of common above u's highest member
-        nonlocal first
-        if not need:
-            rest = common
-            for _ in range(k):
-                rest &= rest - 1
-            host = u | common ^ rest
-            if first is None or host < first:
-                first = host
-            return
-        while cand:
+    Cliques grow depth first, members in ascending order, in a loop over a
+    stack of the cliques the current one grew from.  A member of U is
+    adjacent to the other k - 1 members and to k common neighbors, so only
+    vertices of degree 2k - 1 or more are tried, and a pick is taken only
+    when it leaves enough common neighbors for the rest of U and k more,
+    and enough candidates above it for the rest of U.  Every host through
+    a clique u is 2k members of u | C(u) that hold u, so none is below
+    u | the lowest 2k - |u| members of C(u); once a host is known, a branch
+    whose bound is not below it is left, so hosts that tie it are never
+    walked.
+    """
+    adj = g.adj
+    first = 1 << g.n  # above every host
+    cand = sum(1 << v for v, row in enumerate(adj) if row.bit_count() >= 2 * k - 1)
+    # the clique u, C(u), the candidates above u still to try, and need: the
+    # members that C(u + v) must supply for a next pick v, the rest of U and k more
+    u, common, need, stack = 0, g.vertex_mask, 2 * k - 1, []
+    while True:
+        while cand and (first >> g.n or u | _lowest(common, need + 1) < first):
             low = cand & -cand
             cand ^= low
-            if first is not None and u | low > first:
-                return  # every host through u | low is larger
             c = common & adj[low.bit_length() - 1]
-            if c.bit_count() >= need - 1 + k:  # room for the rest of U and for k more
-                extend(u | low, c, c & cand, need - 1)
+            if c.bit_count() < need:
+                continue
+            if need == k:
+                first = min(first, u | low | _lowest(c, k))
+            elif (c & cand).bit_count() >= need - k:  # room above low for the rest of U
+                stack.append((u, common, cand, need))
+                u, common, cand, need = u | low, c, c & cand, need - 1
+        if not stack:
+            return None if first >> g.n else first
+        u, common, cand, need = stack.pop()
 
-    extend(0, g.vertex_mask, g.vertex_mask, k)
-    return first
 
-
-def _last_class_hosts(g: Graph, b: int) -> list[int]:
+def _last_class_host(g: Graph, b: int) -> int | None:
     """The first host of size 2b + 2, in ascending mask order, with subdim
-    b + 1, as a list of at most one host; dim_exact's docstring gives the
-    lemma."""
+    b + 1, or None; dim_exact's docstring gives the lemma."""
     hosts = [_first_clique_host(g, b + 1)]
     if b % 2:
-        full = g.vertex_mask
-        co = Graph._built(g.n, tuple(full ^ row ^ 1 << v for v, row in enumerate(g.adj)))
-        hosts.append(subdim_exists(co, full, 2 * b + 2, 1))
-    hosts = [host for host in hosts if host is not None]
-    return [min(hosts)] if hosts else []
+        co = Graph._built(g.n, tuple(g.vertex_mask ^ row ^ 1 << v for v, row in enumerate(g.adj)))
+        hosts.append(subdim_exists(co, co.vertex_mask, 2 * b + 2, 1))
+    return min((host for host in hosts if host is not None), default=None)
 
 
 def _greedy_majority(adj, host: int, s: int, best: int) -> int:
@@ -429,15 +445,10 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
     # A scanned host meets every earlier settled set in fewer than s
     # vertices, so its s-vertex witness grows to a new set.
     settled = [grown(full.witness_min)]
-    for size in range((g.n - 1) & ~1, 0, -2):  # even proper hosts only
-        if size <= 2 * best:
-            break
+    size = (g.n - 1) & ~1  # even proper hosts only
+    while size > 2 * best + 2:
         s = size // 2 + 1
-        if size == 2 * best + 2:  # the last size: the lemma picks its one host to scan
-            hosts = _last_class_hosts(g, best)
-        else:
-            hosts = subsets_of_size(g.n, size)
-        for host in hosts:
+        for host in subsets_of_size(g.n, size):
             for m in settled:
                 if (m & host).bit_count() >= s:
                     break
@@ -453,7 +464,13 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
                     best_inner = SubdimCertificate(value=value, witness_min=witness,
                                                    host_size=size)
                 settled.append(grown(witness))
-    return DimCertificate(value=best, witness_max=best_host, inner=best_inner)
+        size -= 2
+    # the last size, 2 * best + 2: the lemma's host, if any, is the certificate
+    host = _last_class_host(g, best) if size == 2 * best + 2 else None
+    if host is None:
+        return DimCertificate(value=best, witness_max=best_host, inner=best_inner)
+    inner = SubdimCertificate(value=best + 1, witness_min=_lowest(host, best + 2), host_size=size)
+    return DimCertificate(value=best + 1, witness_max=host, inner=inner)
 
 
 def _replay_subdim(g: Graph, cert: SubdimCertificate, host: int) -> dict:

@@ -17,7 +17,7 @@ from math import gcd
 from operator import methodcaller
 
 from .coloring import Coloring, is_proper
-from .core import Graph, _instance, _integer, bits_of
+from .core import Graph, _count, _entries, _instance, _integer, bits_of
 from .errors import DomainError
 
 __all__ = [
@@ -113,9 +113,11 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
     _instance(g, Graph, "graph must be a Graph")
-    d, points = _checked_points(emb)
+    d, points = _checked_points(emb, g.n)
     if len(points) != g.n:
-        raise DomainError(f"embedding covers {len(points)} vertices, graph has {g.n}")
+        # a tuple of points was kept whole, so its length is exact
+        count = len(points) if type(emb.points) is tuple else _count(points, g.n)
+        raise DomainError(f"embedding covers {count} vertices, graph has {g.n}")
     on = [0] * d if points else []  # no points: ambient_dim may be too large to allocate
     supports, keys, norm_of = [], [], []
     with_norm = {}  # squared norm as a reduced (numerator, denominator) -> bitset of its vertices
@@ -171,18 +173,22 @@ def format_embedding(emb: Embedding, col: Coloring) -> str:
     """
     from fractions import Fraction  # imported here, as in unit_distance_embed
 
-    points = _checked_points(emb)[1]
     _instance(col, Coloring, "coloring must be a Coloring")
+    points = _checked_points(emb, len(col.colors))[1]
     if len(col.colors) != len(points):
         raise DomainError("coloring and embedding cover different vertex counts")
     return "".join(f"{v} {c} {' '.join(str(Fraction(x)) for x in point)}\n"
                    for v, (c, point) in enumerate(zip(col.colors, points)))
 
 
-def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:
-    """(ambient_dim, points as a tuple of tuples) of an embedding, checked.
+def _checked_points(emb: Embedding, n: int) -> tuple[int, tuple[tuple, ...]]:
+    """(ambient_dim, points as a tuple of tuples) of an embedding that
+    should have n points, checked.
 
-    Raises DomainError for an object that is not an Embedding, an
+    The points, and the coordinates of each, are read through _entries with
+    the length they should have, n and ambient_dim, so an argument too long
+    by any amount is read one entry past it; a tuple of tuples is kept as
+    it is.  Raises DomainError for an object that is not an Embedding, an
     ambient_dim that is not an integer >= 0, points that are not a sequence
     of coordinate sequences, a point that does not have ambient_dim
     coordinates, or a coordinate that is not an int or a Fraction.
@@ -191,11 +197,13 @@ def _checked_points(emb: Embedding) -> tuple[int, tuple[tuple, ...]]:
 
     _instance(emb, Embedding, "embedding must be an Embedding")
     d = _integer(emb.ambient_dim, "ambient_dim", 0)
-    try:
-        points = tuple(map(tuple, emb.points))
-    except TypeError:
-        raise DomainError(f"points must be a sequence of coordinate sequences, "
-                          f"got {emb.points!r}") from None
+    rule = "points must be a sequence of coordinate sequences"
+    points = _entries(emb.points, rule, n)
+    if set(map(type, points)) - {tuple}:
+        try:
+            points = tuple(_entries(p, rule, d) for p in points)
+        except DomainError:
+            raise DomainError(f"{rule}, got {emb.points!r}") from None
     if set(map(len, points)) - {d}:
         raise DomainError(f"every point needs ambient_dim={d} coordinates")
     for kind in set(map(type, chain.from_iterable(points))):

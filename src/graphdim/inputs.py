@@ -34,6 +34,7 @@ from .cayley import AbelianGroup, GeneratorSet, cayley_graph
 from .core import (
     Graph,
     _INTEGER,
+    _decimal,
     _g6_header,
     _instance,
     complete_bipartite_graph,
@@ -52,13 +53,15 @@ __all__ = ["parse_cayley_spec", "load_input"]
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     """The comma-separated integers of a spec, each read by the rule _INTEGER
-    of the edge-list format; int() alone would also take '+3', '1_0', ' 3'
-    and non-ASCII digits.  Empty text holds no integers; an empty field
-    between, before or after the commas is refused."""
-    tokens = text.split(",") if text else []
-    if not all(map(_INTEGER.fullmatch, tokens)):
-        raise ParseError(f"bad {what} {text!r}, expected comma-separated integers")
-    return [int(tok) for tok in tokens]
+    of the edge-list format through _decimal; int() alone would also take
+    '+3', '1_0', ' 3' and non-ASCII digits, and refuses more digits than
+    its conversion limit with a bare ValueError.  Empty text holds no
+    integers; an empty field between, before or after the commas is
+    refused."""
+    try:
+        return [_decimal(tok) for tok in text.split(",")] if text else []
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}, expected comma-separated integers") from None
 
 
 def parse_cayley_spec(body: str) -> tuple[AbelianGroup, GeneratorSet]:

@@ -7,13 +7,13 @@ The default is 16 vertices; the GRAPHDIM_CAP environment variable overrides
 it globally, and every capped function also takes an explicit ``cap=``
 argument.  The cap is the only size limit.  An explicit cap must be an
 integer (``core._integer``); GRAPHDIM_CAP, and the CLI's ``--cap``, must be
-one by the edge-list rule ``core._INTEGER``, read by ``_read_cap``; anything
-else is a DomainError, not a refusal.
+one by the edge-list rule ``core._INTEGER``, read by ``_read_cap`` through
+``core._decimal``; anything else is a DomainError, not a refusal.
 """
 
 import os
 
-from .core import _INTEGER, _integer
+from .core import _decimal, _integer
 from .errors import CapExceeded, DomainError
 
 DEFAULT_CAP = 16
@@ -30,12 +30,14 @@ def resolve_cap(cap: int | None = None) -> int:
 
 def _read_cap(text: str, source: str) -> int:
     """The integer that cap text states: ASCII digits with an optional
-    leading '-', as in an edge list; anything else (int() would also take
-    '+16', '1_6', ' 16 ' and non-ASCII digits) is a DomainError naming the
-    source and the text."""
-    if not _INTEGER.fullmatch(text):
-        raise DomainError(f"{source} must be an integer, got {text!r}")
-    return int(text)
+    leading '-', as in an edge list, read by _decimal; anything else (int()
+    would also take '+16', '1_6', ' 16 ' and non-ASCII digits), and digits
+    past int()'s conversion limit, is a DomainError naming the source and
+    the text."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise DomainError(f"{source} must be an integer, got {text!r}") from None
 
 
 def require_within_cap(n: int, cap: int | None, what: str) -> None:

@@ -4,6 +4,8 @@ import itertools
 import os
 from pathlib import Path
 
+import pytest
+
 import graphdim
 from graphdim.core import Graph
 
@@ -36,3 +38,12 @@ def subprocess_env(extra=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return env
+
+
+def read_at_most(k, entry=None):
+    """0, 1, 2, ..., or `entry` over and over, without end, failing the
+    test when entry k + 1 is read."""
+    for i in itertools.count():
+        if i == k:
+            pytest.fail(f"read more than {k} entries")
+        yield i if entry is None else entry

@@ -57,6 +57,24 @@ def _top_level_definitions(module):
     return names
 
 
+def test_no_function_calls_itself():
+    # a recursive search fails with RecursionError on a deep enough input,
+    # outside the package's errors; each search is a loop over its own
+    # stack.  _sweep_stats recurses on n - 1, at most _SWEEP_LIMIT = 6 deep.
+    recursive = set()
+    for path in sorted(pathlib.Path(graphdim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and (
+                            isinstance(call.func, ast.Name) and call.func.id == node.name
+                            or isinstance(call.func, ast.Attribute) and call.func.attr == node.name
+                            and isinstance(call.func.value, ast.Name)
+                            and call.func.value.id in ("self", "cls")):
+                        recursive.add(f"{path.stem}.{node.name}")
+    assert recursive == {"verify._sweep_stats"}
+
+
 def test_each_all_names_only_what_its_module_defines():
     for name in _LAYERS:
         module = _layer(name)

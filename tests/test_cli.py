@@ -335,6 +335,26 @@ def test_cap_option_follows_the_integer_rule(command, value, tmp_path, capsys):
     assert not out.exists()
 
 
+_DIGITS = "9" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["compute", f"path:{_DIGITS}"], None),
+    (["compute", f"cayley:z:{_DIGITS};gens=1"], None),
+    (["compute", "path:3", "--cap", _DIGITS], None),
+    (["compute", "path:3"], _DIGITS),
+], ids=["family-parameter", "cayley-order", "cap-option", "cap-variable"])
+def test_integers_past_the_conversion_limit_are_input_errors(argv, env, monkeypatch, capsys):
+    # int() refused each with a bare ValueError: exit 1, the violation code,
+    # and a traceback
+    if env is not None:
+        monkeypatch.setenv("GRAPHDIM_CAP", env)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("graphdim: error: ")
+
+
 def test_negative_cap_option_is_an_integer(capsys):
     assert cli.main(["compute", "path:3", "--cap", "-1"]) == 3
     assert "refuses n=3 > cap=-1" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import hashlib
-import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +38,7 @@ from graphdim.errors import DomainError, ParseError
 from graphdim.inputs import load_input, parse_cayley_spec
 from graphdim.verify import enumerate_labeled_graphs
 
-from helpers import Index, random_graph
+from helpers import Index, random_graph, read_at_most, subprocess_env
 
 
 # ---------------------------------------------------------------------------
@@ -680,14 +681,6 @@ def test_bitsets_too_large_to_make_are_refused(call, message):
     assert str(err.value) == message
 
 
-def _read_at_most(k):
-    """0, 1, 2, ... without end, failing the test when entry k + 1 is read."""
-    for i in itertools.count():
-        if i == k:
-            pytest.fail(f"read more than {k} entries")
-        yield i
-
-
 @pytest.mark.parametrize("call,message", [
     pytest.param(lambda it: greedy_coloring(path_graph(2), it),
                  "order must be a permutation of 0..n-1", id="greedy_coloring"),
@@ -701,12 +694,30 @@ def test_an_argument_of_known_length_is_read_one_entry_past_it(call, message):
     # each call wants 2 entries, so it may read 3 of an endless iterable;
     # an argument read to its end, such as range(10**12), runs out of memory
     with pytest.raises(DomainError) as err:
-        call(_read_at_most(3))
+        call(read_at_most(3))
     assert str(err.value) == message
 
 
 def test_is_proper_reads_one_color_past_the_vertex_count():
-    assert is_proper(path_graph(2), _read_at_most(3)) is False
+    assert is_proper(path_graph(2), read_at_most(3)) is False
+
+
+@pytest.mark.parametrize("call,message", [
+    ("Coloring(range(10**12))", "colors must be a sequence of color ids, got one too large"),
+    ("AbelianGroup(range(2, 10**12))", "orders must be a sequence of cyclic orders, got one too large"),
+    ("GeneratorSet(range(1, 10**12))",
+     "generators must be an iterable of element ids, got one too large"),
+], ids=["coloring", "group", "generators"])
+def test_an_argument_of_unknown_length_too_large_to_hold_is_refused(call, message):
+    # no length is known for these, so they are read to their end; under a
+    # 1 GB address space that raised a bare MemoryError
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from graphdim import *\n"
+            f"try:\n    {call}\nexcept DomainError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == message + "\n"
 
 
 def test_hypercube_degrees():

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import random
+import signal
 import sys
 
 import pytest
@@ -638,7 +639,44 @@ def test_last_host_size_finder_returns_the_first_host():
             m = 2 * b + 2
             first = next((host for host in subsets_of_size(g.n, m)
                           if subdim_naive(g, host).value == b + 1), None)
-            assert dimension._last_class_hosts(g, b) == ([] if first is None else [first])
+            assert dimension._last_class_host(g, b) == first
+
+
+def _clique_and_a_vertex(k):
+    """K_2k plus an isolated vertex: dim k, decided at the last host size."""
+    return Graph(2 * k + 1, complete_graph(2 * k).adj + (0,))
+
+
+def _within(seconds, call):
+    """call(), failing the test once it has run for `seconds`."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("k", [12, 14])
+def test_the_last_size_host_is_its_own_certificate(k):
+    # the lemma's host, the K_2k, needs no search: its witness is its lowest
+    # k + 1 vertices.  Walking every tied clique took 6.1 s at k = 12 and
+    # over a minute at k = 14.
+    g = _clique_and_a_vertex(k)
+    cert = _within(1.0, lambda: dim_exact(g, cap=g.n))
+    assert cert == DimCertificate(value=k, witness_max=(1 << 2 * k) - 1, inner=SubdimCertificate(
+        value=k, witness_min=(1 << k + 1) - 1, host_size=2 * k))
+    assert _replay_subdim(g, cert.inner, cert.witness_max)["ok"]
+
+
+def test_clique_host_search_runs_deeper_than_the_recursion_limit():
+    k = 1100  # a clique of k members is k levels deep
+    assert k > sys.getrecursionlimit()
+    assert dimension._first_clique_host(_clique_and_a_vertex(k), k) == (1 << 2 * k) - 1
 
 
 def test_dim_cap_enforced():

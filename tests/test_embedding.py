@@ -29,7 +29,7 @@ from graphdim.embedding import (
 )
 from graphdim.errors import DomainError
 
-from helpers import _PACKAGE_ROOT, random_graph
+from helpers import _PACKAGE_ROOT, random_graph, read_at_most
 
 HALF = Fraction(1, 2)
 
@@ -150,6 +150,27 @@ def test_verifier_of_no_points_allocates_nothing_per_coordinate(d):
     # no point has a coordinate, so nothing is allocated per coordinate:
     # [0] * d raises OverflowError for 2**100 and MemoryError for 10**12
     assert verify_embedding(Graph(0, ()), Embedding(d, ())) == (d, True, True)
+
+
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda pts: verify_embedding(path_graph(2), Embedding(2, pts)),
+                 "embedding covers more than 2 vertices, graph has 2", id="verify_embedding"),
+    pytest.param(lambda pts: format_embedding(Embedding(2, pts), Coloring((0, 1))),
+                 "coloring and embedding cover different vertex counts", id="format_embedding"),
+])
+def test_points_are_read_one_past_the_vertex_count(call, message):
+    # the points were read to their end: an endless iterable never
+    # returned, and one of 10**12 points ran out of memory
+    with pytest.raises(DomainError) as err:
+        call(read_at_most(3, (0, 0)))
+    assert str(err.value) == message
+
+
+def test_coordinates_are_read_one_past_ambient_dim():
+    emb = Embedding(2, (read_at_most(3, 0), (0, 0)))
+    with pytest.raises(DomainError) as err:
+        verify_embedding(path_graph(2), emb)
+    assert str(err.value) == "every point needs ambient_dim=2 coordinates"
 
 
 def test_verifier_single_vertex():
