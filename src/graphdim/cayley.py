@@ -57,12 +57,13 @@ class AbelianGroup(namedtuple("AbelianGroup", "orders")):
     def encode(self, element) -> int:
         """Mixed-radix id of a residue tuple (first coordinate least significant)."""
         rank = len(self.orders)
-        element = _entries(element, "element must be a sequence of coordinates", rank)
-        if len(element) != rank:
-            raise DomainError(f"element has {_count(element, rank)} coordinates, wanted {rank}")
+        coords = _entries(element, "element must be a sequence of coordinates", rank)
+        if len(coords) != rank:
+            raise DomainError(
+                f"element has {_count(element, coords, rank)} coordinates, wanted {rank}")
         eid = 0
         stride = 1
-        for a, n in zip(element, self.orders):
+        for a, n in zip(coords, self.orders):
             eid += (_integer(a, "coordinate") % n) * stride
             stride *= n
         return eid

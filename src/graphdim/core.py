@@ -39,7 +39,6 @@ __all__ = [
     "complete_bipartite_graph",
     "hypercube_graph",
     "subsets_of_size",
-    "subsets_of_mask",
 ]
 
 
@@ -102,9 +101,11 @@ def _entries(x, rule: str, n: int | None = None) -> tuple:
         raise DomainError(f"{rule}, got one too large") from None
 
 
-def _count(entries: tuple, n: int):
-    """len(entries) as a message gives it, where _entries read at most n + 1."""
-    return len(entries) if len(entries) <= n else f"more than {n}"
+def _count(x, entries: tuple, n: int):
+    """len(entries) as a message gives it, where entries = _entries(x, rule, n):
+    exact for a tuple x, kept whole, and for any x of at most n entries;
+    "more than n" where reading x stopped one entry past n."""
+    return len(entries) if type(x) is tuple or len(entries) <= n else f"more than {n}"
 
 
 def _permutation(perm, n: int, what: str) -> list[int]:
@@ -175,20 +176,20 @@ class Graph(namedtuple("Graph", "n adj")):
 
     def __new__(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         n = _integer(n, "vertex count", 0)
-        adj = _entries(adj, "adjacency must be a sequence of rows", n)
-        if len(adj) != n:
-            raise DomainError(f"adjacency has {_count(adj, n)} rows for n={n}")
-        for v, row in enumerate(adj):
+        rows = _entries(adj, "adjacency must be a sequence of rows", n)
+        if len(rows) != n:
+            raise DomainError(f"adjacency has {_count(adj, rows, n)} rows for n={n}")
+        for v, row in enumerate(rows):
             _integer(row, f"adjacency row of {v}")
             if row >> n:  # O(len(row)); masking with ~full costs O(n) per row
                 raise DomainError(f"adjacency row of {v} mentions vertices >= {n}")
             if row >> v & 1:
                 raise DomainError(f"self-loop at vertex {v}")
-        for v, row in enumerate(adj):
+        for v, row in enumerate(rows):
             for u in bits_of(row):
-                if not adj[u] >> v & 1:
+                if not rows[u] >> v & 1:
                     raise DomainError(f"asymmetric edge {v}-{u}")
-        return tuple.__new__(cls, (n, adj))
+        return tuple.__new__(cls, (n, rows))
 
     _make = classmethod(_checked_make)
 
@@ -224,9 +225,6 @@ class Graph(namedtuple("Graph", "n adj")):
     @property
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
@@ -522,15 +520,3 @@ def _gosper(limit: int, s: int):
         ripple = x + low
         x = ((ripple ^ x) >> (low.bit_length() + 1)) | ripple
 
-
-def subsets_of_mask(mask: int, s: int):
-    """All size-s subsets of an arbitrary bitset, in increasing numeric order.
-
-    The subsets are walked in index space, as subsets_of_size(k, s) of the k
-    members, and each index set is mapped to its members; the map is
-    monotone, so the order is the numeric one.  The arguments are checked at
-    the call; the subsets come from a generator.
-    """
-    members = bits_of(mask)
-    s = _integer(s, "subset size", 0, len(members))
-    return (sum(1 << members[i] for i in bits_of(idx)) for idx in _gosper(1 << len(members), s))

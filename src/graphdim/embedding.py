@@ -115,9 +115,8 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
     _instance(g, Graph, "graph must be a Graph")
     d, points = _checked_points(emb, g.n)
     if len(points) != g.n:
-        # a tuple of points was kept whole, so its length is exact
-        count = len(points) if type(emb.points) is tuple else _count(points, g.n)
-        raise DomainError(f"embedding covers {count} vertices, graph has {g.n}")
+        raise DomainError(
+            f"embedding covers {_count(emb.points, points, g.n)} vertices, graph has {g.n}")
     on = [0] * d if points else []  # no points: ambient_dim may be too large to allocate
     supports, keys, norm_of = [], [], []
     with_norm = {}  # squared norm as a reduced (numerator, denominator) -> bitset of its vertices

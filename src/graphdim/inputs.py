@@ -112,7 +112,7 @@ _FAMILIES = {
 # any vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
 _HEAD = 64
 # bytes read at a time until the header is read; of a blank prefix only the
-# count of its line breaks is kept
+# count of its line breaks is kept until the cap check
 _BLANK_BLOCK = 1 << 16
 
 
@@ -127,7 +127,9 @@ def _read_file(path: str, cap: int | None) -> Graph:
     name: graph6 bytes are 63..126, so no graph6 line is an integer.  At
     most one block past the header's start is read before the vertex count
     it declares is checked against the cap, before any work or memory that
-    grows with the file."""
+    grows with the file.  Past the check the prefix is put back as line
+    breaks for the parse, and a file too large to hold, as text or as a
+    graph, is a ParseError rather than a MemoryError."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
@@ -161,10 +163,11 @@ def _read_file(path: str, cap: int | None) -> Graph:
             parse = parse_graph6
         require_within_cap(n, cap, "load_input")
         try:
-            text = (b"\n" * skipped + raw + fh.read()).decode("ascii")
+            return parse((b"\n" * skipped + raw + fh.read()).decode("ascii"))
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not an ASCII graph file") from None
-    return parse(text)
+        except MemoryError:
+            raise ParseError(f"{path} is too large to hold") from None
 
 
 def load_input(spec: str, cap: int | None = None) -> tuple[Graph, dict]:

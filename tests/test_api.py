@@ -36,7 +36,7 @@ _PUBLIC = [
     "format_embedding", "greedy_coloring", "hypercube_graph", "induced_subgraph", "inputs",
     "is_proper", "limits", "mask_of", "max_degree_within", "parse_edge_list", "parse_graph6",
     "path_graph", "relabel", "resolve_cap", "run_all", "run_suite", "subdim", "subdim_exists",
-    "subdim_naive", "subsets_of_mask", "subsets_of_size", "translate", "unit_distance_embed",
+    "subdim_naive", "subsets_of_size", "translate", "unit_distance_embed",
     "verify", "verify_embedding",
 ]
 

@@ -132,6 +132,26 @@ def test_blank_prefix_is_skipped_in_blocks(tmp_path):
         inputs.load_input(str(path), None)
 
 
+@pytest.mark.parametrize("head,line,count,tail", [
+    ("2\n", "0 1\n", 4_000_000, ""),  # 16 MB of one edge, duplicates allowed
+    ("", "\n", 40_000_000, "2\n0 1\n"),  # a 40 MB blank prefix, put back for the parse
+], ids=["duplicate-edges", "blank-prefix"])
+def test_a_file_within_the_cap_too_large_to_hold_is_an_input_error(tmp_path, head, line,
+                                                                    count, tail):
+    # under a 256 MB address space, splitting either file into lines runs
+    # out of memory: an input error, not a MemoryError traceback
+    path = tmp_path / "big.txt"
+    path.write_text(head + line * count + tail)
+    code = ("import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "sys.argv = ['graphdim', 'compute', sys.argv[1]]\n"
+            "runpy.run_module('graphdim', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env=subprocess_env())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"graphdim: error: {path} is too large to hold\n"
+
+
 _BLOCK = inputs._BLANK_BLOCK
 
 
