@@ -368,7 +368,8 @@ _G6_MAX_N = 258047  # largest n encodable in the 4-byte graph6 header
 
 
 def _g6_header(data: bytes):
-    """Split a graph6 byte string into (n, body)."""
+    """Split a graph6 byte string, optionally prefixed '>>graph6<<', into (n, body)."""
+    data = data.removeprefix(b">>graph6<<")
     if not data:
         raise ParseError("empty graph6 input")
     if data[0] == 126:  # '~'
@@ -409,8 +410,6 @@ def parse_graph6(text: str) -> Graph:
     construction, so the graph is built unchecked.
     """
     line = _instance(text, str, "graph6 text must be a str").strip()
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
     try:
         data = line.encode("ascii")
     except UnicodeEncodeError:

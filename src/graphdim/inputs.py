@@ -19,10 +19,12 @@ a lone integer means an edge list, any other line graph6 (if that line is
 no graph6 header either, the error names both).
 ``load_input`` checks the cap before any work or memory that grows with the
 input: a family spec by its parameters (cube:N by its exponent), a file by
-the vertex count in its header (that integer, or the graph6 size bytes); a
-count line that does not end within its first 64 bytes is refused
-(CapExceeded).  A file is read once, through one handle, so pipes and FIFOs
-work too.
+the vertex count in its header (that integer, or the graph6 size bytes).
+Two rules bound a file's header: its first non-blank line must start within
+its first 64 KiB, and an edge list's count line must end within 64 bytes.
+A file that breaks either rule is refused (CapExceeded) after at most
+64 KiB + 64 bytes have been read, before the cap check.  A file is read
+once, through one handle, so pipes and FIFOs work too.
 """
 
 from __future__ import annotations
@@ -108,45 +110,35 @@ _FAMILIES = {
 }
 
 
-# a file's first non-blank line must end within this many bytes: more than
-# any vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
+# an edge list's count line must end within this many bytes: more than any
+# vertex count below a cap, or graph6's '>>graph6<<' and size bytes, need
 _HEAD = 64
-# bytes read at a time until the header is read; of a blank prefix only the
-# count of its line breaks is kept until the cap check
+# a file's first non-blank line must start within this many bytes, so its
+# header is read, and refused or checked against the cap, in one bounded read
 _BLANK_BLOCK = 1 << 16
 
 
 def _read_file(path: str, cap: int | None) -> Graph:
     """Read and parse a graph file through one handle.
 
-    One loop reads _BLANK_BLOCK bytes at a time until the first non-blank
-    line has ended, has run _HEAD bytes, or the file has ended.  A blank
-    prefix is dropped as it is read and only its line breaks are counted,
-    by str.splitlines as parse_edge_list counts them, so parse errors keep
-    their line numbers.  That line alone picks the format, not the file's
-    name: graph6 bytes are 63..126, so no graph6 line is an integer.  At
-    most one block past the header's start is read before the vertex count
-    it declares is checked against the cap, before any work or memory that
-    grows with the file.  Past the check the prefix is put back as line
-    breaks for the parse, and a file too large to hold, as text or as a
-    graph, is a ParseError rather than a MemoryError."""
+    One read of _BLANK_BLOCK + _HEAD bytes holds the header: a blank prefix
+    of _BLANK_BLOCK bytes or more is refused (CapExceeded), so no more is
+    read before the cap check.  The first non-blank line alone picks the
+    format, not the file's name: graph6 bytes are 63..126, so no graph6
+    line is an integer.  The vertex count it declares is checked against
+    the cap before any work or memory that grows with the file.  Past the
+    check the whole text is parsed as read, so parse errors number its
+    lines, and a file too large to hold, as text or as a graph, is a
+    ParseError rather than a MemoryError."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
     with open(path, "rb") as fh:
-        raw = bytearray()
-        skipped = 0  # line breaks, as splitlines counts them, of a blank prefix not in raw
-        while True:  # until the first non-blank line has ended, runs _HEAD bytes, or EOF
-            block = fh.read(_BLANK_BLOCK)
-            raw += block
-            prefix = raw.decode("ascii", "surrogateescape")
-            head = prefix.lstrip()
-            if not block or "\n" in head or len(head) >= _HEAD:
-                break
-            if not head:  # all blank, so ASCII: drop all but a last "\r", which may start "\r\n"
-                blank = prefix.removesuffix("\r")
-                skipped += len((blank + ".").splitlines()) - 1
-                del raw[:len(blank)]
+        raw = fh.read(_BLANK_BLOCK + _HEAD)
+        head = raw.decode("ascii", "surrogateescape").lstrip()
+        if len(raw) - len(head) >= _BLANK_BLOCK:
+            raise CapExceeded(
+                f"{path}: its first non-blank line does not start within {_BLANK_BLOCK} bytes")
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")
@@ -157,13 +149,13 @@ def _read_file(path: str, cap: int | None) -> Graph:
             n, parse = int(first), parse_edge_list
         else:
             try:
-                n = _g6_header(first.removeprefix(">>graph6<<")[:4].encode("ascii"))[0]
+                n = _g6_header(first.encode("ascii"))[0]
             except ParseError as exc:
                 raise ParseError(f"{path} is neither an edge list nor graph6 ({exc})") from None
             parse = parse_graph6
         require_within_cap(n, cap, "load_input")
         try:
-            return parse((b"\n" * skipped + raw + fh.read()).decode("ascii"))
+            return parse((raw + fh.read()).decode("ascii"))
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not an ASCII graph file") from None
         except MemoryError:

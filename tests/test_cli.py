@@ -3,12 +3,15 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphdim import cli, dimension, inputs, verify
 from graphdim.cli import cmd_compute
@@ -112,34 +115,53 @@ def test_parse_errors_count_the_lines_of_a_blank_prefix(tmp_path, text, line):
     assert f"line {line}: endpoint out of range" in proc.stderr
 
 
-def test_blank_prefix_is_skipped_in_blocks(tmp_path):
-    # 16 MB of line breaks before a count above the cap: counted block by
-    # block, the prefix costs a fraction of a second (about 0.1 s on a 2-core
-    # x86-64 VM; 64 bytes at a time, it took 0.8 s).  The best of three
-    # tries, so that one stall of a shared host does not decide.
+def test_a_blank_prefix_of_a_block_or_more_is_refused(tmp_path):
+    # 4 MB of line breaks before a valid graph: the first non-blank line
+    # does not start within the first block, so the rest is never read
     path = tmp_path / "blank.txt"
-    path.write_text("\n" * 16_000_000 + "3000000\n")
-    seconds = []
-    for _ in range(3):
-        start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="n=3000000"):
-            inputs.load_input(str(path), None)
-        seconds.append(time.perf_counter() - start)
-    assert min(seconds) < 0.4
-    # a prefix of many blocks, "\r\n" pairs split across their ends
-    path.write_bytes((" \r\n" * 50_000 + "3\n0 1\n0 9\n").encode("ascii"))
-    with pytest.raises(ParseError, match="line 50003: endpoint out of range"):
-        inputs.load_input(str(path), None)
+    path.write_text("\n" * 4_000_000 + "2\n0 1\n")
+    proc = run_cli("compute", str(path))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"graphdim: cap exceeded: {path}: its first non-blank line "
+                           f"does not start within {inputs._BLANK_BLOCK} bytes\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_an_endless_blank_stdin_exits_3():
+    # a writer that never stops: only a bounded read of the header ends it
+    proc = subprocess.Popen([sys.executable, "-m", "graphdim", "compute", "/dev/stdin"],
+                            bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=subprocess_env())
+
+    def feed():
+        try:
+            while True:
+                proc.stdin.write(b"\n" * 4096)
+        except OSError:  # the reader has exited, or was killed
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        code = proc.wait(timeout=20)
+    finally:
+        proc.kill()
+        writer.join()
+        proc.stdin.close()
+    stderr = proc.stderr.read().decode()
+    proc.stdout.close()
+    proc.stderr.close()
+    assert code == 3, stderr
+    assert "first non-blank line does not start within" in stderr
 
 
 @pytest.mark.parametrize("head,line,count,tail", [
     ("2\n", "0 1\n", 4_000_000, ""),  # 16 MB of one edge, duplicates allowed
-    ("", "\n", 40_000_000, "2\n0 1\n"),  # a 40 MB blank prefix, put back for the parse
-], ids=["duplicate-edges", "blank-prefix"])
+], ids=["duplicate-edges"])
 def test_a_file_within_the_cap_too_large_to_hold_is_an_input_error(tmp_path, head, line,
                                                                     count, tail):
-    # under a 256 MB address space, splitting either file into lines runs
-    # out of memory: an input error, not a MemoryError traceback
+    # under a 256 MB address space, splitting the file into lines runs out
+    # of memory: an input error, not a MemoryError traceback
     path = tmp_path / "big.txt"
     path.write_text(head + line * count + tail)
     code = ("import resource, runpy, sys\n"
@@ -153,17 +175,18 @@ def test_a_file_within_the_cap_too_large_to_hold_is_an_input_error(tmp_path, hea
 
 
 _BLOCK = inputs._BLANK_BLOCK
+_LATE = f"first non-blank line does not start within {_BLOCK} bytes"
 
 
 @pytest.mark.parametrize("text,error,message", [
-    # the count line straddles the end of the first block
+    # the count line starts 3 bytes before the block ends
     ("\n" * (_BLOCK - 3) + "3000000", CapExceeded, "n=3000000"),
-    # the first block ends in a lone "\r" whose "\n" opens the next block
-    ((" \r\n" * (_BLOCK // 3)).ljust(_BLOCK - 1) + "\r\n3000000", CapExceeded, "n=3000000"),
+    # a blank prefix of exactly one block that ends in a lone "\r"
+    ((" \r\n" * (_BLOCK // 3)).ljust(_BLOCK - 1) + "\r3000000", CapExceeded, _LATE),
     ("\n" * (_BLOCK - 3) + "3\n0 1\n0 9\n", ParseError,
      "line 65536: endpoint out of range in edge 0-9 \\(n=3\\)"),
-    (" " * (_BLOCK - 2) + "\r\n3\n0 9\n", ParseError,
-     "line 3: endpoint out of range in edge 0-9 \\(n=3\\)"),
+    # a blank prefix of exactly one block that ends in "\r\n"
+    (" " * (_BLOCK - 2) + "\r\n3\n0 9\n", CapExceeded, _LATE),
 ], ids=["count-straddles", "lone-cr-at-the-end", "edge-on-line-65536", "crlf-at-the-end"])
 def test_header_read_at_the_block_boundary(tmp_path, text, error, message):
     path = tmp_path / "g.txt"
@@ -176,11 +199,9 @@ def test_header_read_at_the_block_boundary(tmp_path, text, error, message):
 @pytest.mark.parametrize("brk", ["\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\r\n"],
                          ids=["lf", "vt", "ff", "fs", "gs", "rs", "cr", "crlf"])
 def test_a_blank_prefix_numbers_lines_as_parse_edge_list_does(tmp_path, brk, pad):
-    # each ASCII line break of str.splitlines, in a blank prefix that runs
-    # past the first block; the pad shifts which character ends the block,
-    # so some "\r\n" pairs are split across it and some lone "\r" end it
-    prefix = (" " * pad + (brk + "\t\x1f ") * (_BLOCK // 3 + 2)).rstrip("\t\x1f ")
-    assert len(prefix) > _BLOCK
+    # each ASCII line break of str.splitlines, in a blank prefix one byte
+    # short of the block; the pad shifts which character ends the prefix
+    prefix = (" " * pad + (brk + "\t\x1f ") * (_BLOCK // 3))[:_BLOCK - 1]
     text = prefix + "3\n0 1\n\x0c0 9\n"
     path = tmp_path / "g.txt"
     path.write_bytes(text.encode("ascii"))
@@ -191,6 +212,59 @@ def test_a_blank_prefix_numbers_lines_as_parse_edge_list_does(tmp_path, brk, pad
     assert "endpoint out of range in edge 0-9" in str(whole.value)
     assert str(loaded.value) == str(whole.value)
     assert loaded.value.line == whole.value.line
+    # one blank more and the first non-blank line starts past the block
+    path.write_bytes((" " + text).encode("ascii"))
+    with pytest.raises(CapExceeded, match=_LATE):
+        inputs.load_input(str(path), None)
+
+
+# the ten ASCII characters str.strip and str.split take as blanks
+_BLANKS = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def _g6_size(n):
+    return chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> k & 63) + 63) for k in (12, 6, 0))
+
+
+@st.composite
+def _graph_file_texts(draw):
+    prefix = draw(st.text(st.sampled_from(_BLANKS), max_size=40))
+    first = draw(st.one_of(
+        st.integers(-2, 80).map(str),
+        st.tuples(st.sampled_from(["", ">>graph6<<"]), st.integers(0, 80).map(_g6_size))
+        .map("".join),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)))
+    body = draw(st.text(st.sampled_from("0123456789-_+x?A~é" + _BLANKS), max_size=30))
+    return prefix + first + draw(st.sampled_from(["", "\n"])) + body
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_graph_file_texts())
+def test_the_loader_agrees_with_the_parsers_on_any_file(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "loaded.txt"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        loaded = inputs.load_input(str(path), 64)[0]
+    except CapExceeded:
+        return  # refused before the parse: a direct parse might allocate the count
+    except ParseError as exc:
+        loaded = exc
+    if not text.isascii():
+        assert isinstance(loaded, ParseError)
+        return
+    head = text.strip()
+    first = head.splitlines()[0].strip() if head else ""
+    parse = parse_edge_list if re.fullmatch(r"-?[0-9]+", first) else parse_graph6
+    try:
+        direct = parse(text)
+    except ParseError as exc:
+        direct = exc
+    if isinstance(direct, ParseError):
+        assert isinstance(loaded, ParseError)
+        if parse is parse_edge_list:
+            assert (str(loaded), loaded.line) == (str(direct), direct.line)
+    else:
+        assert loaded == direct
 
 
 @pytest.mark.parametrize("count,byte", [("+3", 43), ("1_0", 49)])
