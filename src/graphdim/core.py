@@ -11,7 +11,9 @@ keeps degree-within-subset queries at a single AND plus popcount.
 from __future__ import annotations
 
 import binascii
+import functools
 import itertools
+import math
 import operator
 import re
 import sys
@@ -496,26 +498,85 @@ def hypercube_graph(n: int) -> Graph:
 def subsets_of_size(n: int, s: int):
     """All C(n, s) subsets of {0..n-1} as bitsets, in increasing numeric order.
 
-    The arguments are checked at the call; the subsets come from a generator.
+    The arguments are checked at the call; the subsets come from an
+    iterator.  A subset is h << _LOW | l: its high part h over the vertices
+    _LOW..n-1 and its pattern l over the low _LOW vertices.  The high parts
+    are walked in ascending order (_blocks), and for each the patterns of
+    the remaining weight come from one table, ascending; ordering by (h, l)
+    is ordering by the int, so this is the numeric order, the package-wide
+    canonical subset order, and tie-breaks elsewhere mean "smallest mask in
+    this order".  For n <= _LOW there is one high part, 0, and the subsets
+    are a prefix of the table's group of weight s.
     """
     n = _integer(n, "set size", 0)
     s = _integer(s, "subset size", 0, n)
-    return _gosper(_bit(n, "set size"), s)
+    _bit(n, "set size")  # a set too large to make a bitset of is refused here
+    return _subsets(n, s)
 
 
-def _gosper(limit: int, s: int):
-    """subsets_of_size for checked arguments, the set given as limit = 1 << n,
-    by Gosper's hack: each step produces the next-larger int with the same
-    popcount.  The numeric order is the package-wide canonical subset order;
-    tie-breaks elsewhere mean "smallest mask in this order".
-    """
-    if s == 0:
-        yield 0
-        return
-    x = (1 << s) - 1
-    while x < limit:
-        yield x
-        low = x & -x
-        ripple = x + low
-        x = ((ripple ^ x) >> (low.bit_length() + 1)) | ripple
+# a subset's low _LOW vertices are its pattern, walked from _pattern_tables
+_LOW = 12
 
+
+@functools.cache
+def _pattern_tables():
+    """The tables of the 2**_LOW patterns, built on first use:
+    by_weight[w], the patterns of popcount w, ascending; holds[v], the
+    plane (a 2**_LOW-bit int, bit l for pattern l) of the patterns that hold
+    vertex v; and weights[w], the plane of the patterns of popcount w."""
+    count = 1 << _LOW
+    by_weight = [[] for _ in range(_LOW + 1)]
+    for pattern in range(count):
+        by_weight[pattern.bit_count()].append(pattern)
+    full = (1 << count) - 1
+    # bit l of holds[v] is bit v of l: blocks of 2**v ones above 2**v zeros,
+    # repeated with the mask of cayley.translate
+    holds = tuple(((1 << (1 << v)) - 1 << (1 << v)) * (full // ((1 << (2 << v)) - 1))
+                  for v in range(_LOW))
+    at_least = _planes_at_least(holds, count - 1, full)
+    weights = tuple(a ^ b for a, b in zip(at_least, at_least[1:] + [0]))
+    return tuple(map(tuple, by_weight)), holds, weights
+
+
+def _planes_at_least(holds, vertices: int, span: int) -> list[int]:
+    """The planes of the patterns in the plane span that hold at least k of
+    the low vertices in the bitset `vertices`, for k = 0..|vertices|: one
+    level per vertex, each level from the one before (at least k with v is
+    at least k, or at least k - 1 and v).  Every level lies within span, so
+    a narrow span keeps the ints narrow."""
+    levels = [span]
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        plane = holds[low.bit_length() - 1]
+        levels.append(levels[-1] & plane)
+        for k in range(len(levels) - 2, 0, -1):
+            levels[k] |= levels[k - 1] & plane
+    return levels
+
+
+def _blocks(n: int, s: int):
+    """(h, s - |h|) for the high parts h of the s-subsets of {0..n-1}, the
+    ints below 2**max(n - _LOW, 0) of popcount s - _LOW..s, ascending."""
+    top = 1 << max(n - _LOW, 0)
+    lo = max(s - _LOW, 0)
+    h = (1 << lo) - 1
+    while h < top:
+        yield h, s - h.bit_count()
+        h += 1
+        while h < top and h.bit_count() > s:
+            h += h & -h  # carry out the lowest run of ones
+        while h.bit_count() < lo:
+            h |= h + 1  # set the lowest zero
+
+
+def _subsets(n: int, s: int):
+    """subsets_of_size for checked arguments: block by block, the patterns
+    of the remaining weight below 2**n, each or-ed with the high part; a
+    block whose high part is 0 (the first, for s <= _LOW) holds the
+    patterns themselves."""
+    by_weight = _pattern_tables()[0]
+    low = min(n, _LOW)
+    return itertools.chain.from_iterable(
+        map((h << _LOW).__or__, by_weight[c]) if h else by_weight[c][:math.comb(low, c)]
+        for h, c in _blocks(n, s))

@@ -22,6 +22,11 @@ Both return the same value and the same witness: subsets are explored in
 increasing numeric bitset order (the oracle's relabeling keeps that
 order), so the reported witness is always the numerically smallest optimal
 subset and certificates compare bit-for-bit across routes and runs.
+``dim_exact`` enumerates hosts in blocks: the hosts that share their
+vertices from 12 up form one block, held as one bit per pattern of the low
+12 vertices (``core._pattern_tables``), so a set already known to settle
+hosts clears all of a block's hosts it settles with one AND, and only the
+hosts left are visited, in the ascending order of a host-by-host scan.
 _replay_subdim and _replay_dim are the one place that decides whether a
 certificate is valid.
 """
@@ -30,8 +35,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (Graph, _check_subset, _instance, _integer, bits_of, induced_subgraph,
-                   max_degree_within, subsets_of_size)
+from .core import (_LOW, Graph, _blocks, _check_subset, _instance, _integer, _pattern_tables,
+                   _planes_at_least, bits_of, induced_subgraph, max_degree_within,
+                   subsets_of_size)
 from .errors import DomainError
 from .limits import require_within_cap
 
@@ -320,6 +326,22 @@ def dim_exact(g: Graph, cap: int | None = None) -> DimCertificate:
     same hosts in the same order.  The other hosts are scanned upward from
     the incumbent.
 
+    Hosts of one size are taken a block at a time, in the order of
+    subsets_of_size: a block is a high part h over the vertices 12..n-1
+    and its hosts are h << 12 | l over the patterns l of the low 12
+    vertices of weight c = m - |h|, held as one plane, a 2**12-bit int
+    with bit l set for each host left.  A settled set M holds s = m/2 + 1
+    members of such a host exactly when l holds at most c - (s - |M ∩ h|)
+    low vertices outside M, so the block keeps only its planes of
+    patterns holding more; each settled set keeps those planes for every
+    count, built once over its low complement (grown sets are large, so
+    the complement is small).  The hosts left are walked lowest first,
+    and each new settled set clears its hosts from the rest of the block.
+    Ascending (h, l) is ascending mask order, and a host is cleared exactly
+    when a set settled before its turn settles it, so the same hosts reach
+    the greedy step and the decision scan, in the same order, as in a scan
+    that tests each host against every settled set.
+
     The last size the scan visits, m = 2b + 2 for the incumbent b, is
     decided without enumerating its hosts.  There s = b + 2, subdim(S) <=
     b + 1 for every host S, and subdim(S) = b + 1 exactly when (i) at least
@@ -419,7 +441,8 @@ def _greedy_majority(adj, host: int, s: int, best: int) -> int:
 
 def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
     """dim_exact's host scan for n >= 1, given the full vertex set's
-    certificate; dim_exact's docstring gives the reason for each skip."""
+    certificate, a block of hosts at a time; dim_exact's docstring gives the
+    reason for each skip and for the blocks."""
     adj = g.adj
     best = full.value
     best_host = g.vertex_mask
@@ -429,9 +452,12 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
         # add vertices in ascending order while the induced max degree stays <= best;
         # m's is already <= best, so v fits when it has at most best neighbors in m
         # and none of them has best already
-        for v in range(g.n):
-            nbrs = adj[v] & m
-            if m >> v & 1 or nbrs.bit_count() > best:
+        rest = g.vertex_mask & ~m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            nbrs = adj[bit.bit_length() - 1] & m
+            if nbrs.bit_count() > best:
                 continue
             while nbrs:
                 u = nbrs & -nbrs
@@ -439,31 +465,57 @@ def _dim_search(g: Graph, full: SubdimCertificate) -> DimCertificate:
                     break
                 nbrs ^= u
             else:
-                m |= 1 << v
+                m |= bit
         return m
 
+    # A settled set is kept as its high part and the planes of the patterns
+    # holding at least k low vertices outside it; its low complement is
+    # small, since grown sets are large, so the planes take few levels.
     # A scanned host meets every earlier settled set in fewer than s
     # vertices, so its s-vertex witness grows to a new set.
-    settled = [grown(full.witness_min)]
+    low_vertices = (1 << min(g.n, _LOW)) - 1
+    span = (1 << low_vertices + 1) - 1  # the plane of the patterns below 2**n
+    _, holds, weights = _pattern_tables()
+    settled = []
+
+    def settle(m: int) -> tuple[int, list[int]]:
+        m = grown(m)
+        settled.append((m >> _LOW, _planes_at_least(holds, low_vertices & ~m, span)))
+        return settled[-1]
+
+    settle(full.witness_min)
     size = (g.n - 1) & ~1  # even proper hosts only
     while size > 2 * best + 2:
         s = size // 2 + 1
-        for host in subsets_of_size(g.n, size):
-            for m in settled:
-                if (m & host).bit_count() >= s:
-                    break
-            else:
+        for h, c in _blocks(g.n, size):
+            # the host h << _LOW | l holds at least s members of a settled set
+            # (top, planes) when l holds at most c - (s - |top & h|) low
+            # vertices outside it, so the hosts left are in planes[k] for k
+            # one more; k past the planes leaves none
+            cut = c - s + 1
+            live = weights[c] & span
+            for top, planes in settled:
+                k = cut + (top & h).bit_count()
+                if k > 0:
+                    live &= planes[k] if k < len(planes) else 0
+                    if not live:
+                        break
+            while live:
+                low = live & -live
+                live ^= low
+                host = h << _LOW | low.bit_length() - 1
                 rest = _greedy_majority(adj, host, s, best)
-                if rest:
-                    settled.append(grown(rest))
-                    continue
-                value, witness = _subdim_scan(g, host, s, best)
-                if value > best:
-                    best = value
-                    best_host = host
-                    best_inner = SubdimCertificate(value=value, witness_min=witness,
-                                                   host_size=size)
-                settled.append(grown(witness))
+                if not rest:
+                    value, rest = _subdim_scan(g, host, s, best)
+                    if value > best:
+                        best = value
+                        best_host = host
+                        best_inner = SubdimCertificate(value=value, witness_min=rest,
+                                                       host_size=size)
+                top, planes = settle(rest)
+                k = cut + (top & h).bit_count()
+                if k > 0:
+                    live &= planes[k] if k < len(planes) else 0
         size -= 2
     # the last size, 2 * best + 2: the lemma's host, if any, is the certificate
     host = _last_class_host(g, best) if size == 2 * best + 2 else None

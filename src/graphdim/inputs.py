@@ -23,8 +23,11 @@ the vertex count in its header (that integer, or the graph6 size bytes).
 Two rules bound a file's header: its first non-blank line must start within
 its first 64 KiB, and an edge list's count line must end within 64 bytes.
 A file that breaks either rule is refused (CapExceeded) after at most
-64 KiB + 64 bytes have been read, before the cap check.  A file is read
-once, through one handle, so pipes and FIFOs work too.
+64 KiB + 64 bytes have been read, before the cap check.  Past the check,
+a graph6 file must end within 64 KiB of the body its n fixes, and is read
+at most that far; an edge list is read to its end, since duplicate edges
+give its length no bound.  A file is read once, through one handle, so
+pipes and FIFOs work too.
 """
 
 from __future__ import annotations
@@ -127,9 +130,12 @@ def _read_file(path: str, cap: int | None) -> Graph:
     format, not the file's name: graph6 bytes are 63..126, so no graph6
     line is an integer.  The vertex count it declares is checked against
     the cap before any work or memory that grows with the file.  Past the
-    check the whole text is parsed as read, so parse errors number its
-    lines, and a file too large to hold, as text or as a graph, is a
-    ParseError rather than a MemoryError."""
+    check a graph6 file is read at most _BLANK_BLOCK bytes past the body
+    its header fixes, and one that goes on that far is refused
+    (CapExceeded), as a blank prefix is; an edge list is read to its end.
+    The whole text is parsed as read, so parse errors number its lines,
+    and a file too large to hold, as text or as a graph, is a ParseError
+    rather than a MemoryError."""
     if not os.path.exists(path):
         raise ParseError(
             f"{path!r} is neither a family spec ({', '.join(_FAMILIES)}) nor an existing file")
@@ -146,16 +152,23 @@ def _read_file(path: str, cap: int | None) -> Graph:
             if len(first) >= _HEAD:
                 raise CapExceeded(
                     f"{path}: its vertex count line does not end within {_HEAD} bytes")
-            n, parse = int(first), parse_edge_list
+            n, parse, limit = int(first), parse_edge_list, None
         else:
             try:
-                n = _g6_header(first.encode("ascii"))[0]
+                n, body = _g6_header(first.encode("ascii"))
             except ParseError as exc:
                 raise ParseError(f"{path} is neither an edge list nor graph6 ({exc})") from None
-            parse = parse_graph6
+            # the graph6 line ends where its header's n fixes; less than
+            # _BLANK_BLOCK bytes may follow it
+            end = len(raw) - len(head) + len(first) - len(body) + (n * (n - 1) // 2 + 5) // 6
+            parse, limit = parse_graph6, end + _BLANK_BLOCK
         require_within_cap(n, cap, "load_input")
         try:
-            return parse((raw + fh.read()).decode("ascii"))
+            text = raw + fh.read(None if limit is None else max(limit - len(raw), 0))
+            if limit is not None and len(text) >= limit:
+                raise CapExceeded(
+                    f"{path}: the file does not end within {_BLANK_BLOCK} bytes of its graph6 body")
+            return parse(text.decode("ascii"))
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not an ASCII graph file") from None
         except MemoryError:

@@ -126,15 +126,20 @@ def test_a_blank_prefix_of_a_block_or_more_is_refused(tmp_path):
                            f"does not start within {inputs._BLANK_BLOCK} bytes\n")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
-def test_an_endless_blank_stdin_exits_3():
-    # a writer that never stops: only a bounded read of the header ends it
-    proc = subprocess.Popen([sys.executable, "-m", "graphdim", "compute", "/dev/stdin"],
-                            bufsize=0, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=subprocess_env())
+def _compute_on_endless_stdin(head):
+    """The exit code and stderr of `graphdim compute /dev/stdin` fed `head`
+    and then line breaks without end, under a 256 MB address space, so a
+    reader that holds what it reads fails fast instead of filling memory."""
+    script = ("import resource, runpy, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+              "sys.argv = ['graphdim', 'compute', '/dev/stdin']\n"
+              "runpy.run_module('graphdim', run_name='__main__')\n")
+    proc = subprocess.Popen([sys.executable, "-c", script], bufsize=0, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
 
     def feed():
         try:
+            proc.stdin.write(head)
             while True:
                 proc.stdin.write(b"\n" * 4096)
         except OSError:  # the reader has exited, or was killed
@@ -151,8 +156,38 @@ def test_an_endless_blank_stdin_exits_3():
     stderr = proc.stderr.read().decode()
     proc.stdout.close()
     proc.stderr.close()
+    return code, stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_an_endless_blank_stdin_exits_3():
+    # a writer that never stops: only a bounded read of the header ends it
+    code, stderr = _compute_on_endless_stdin(b"")
     assert code == 3, stderr
     assert "first non-blank line does not start within" in stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_an_endless_stdin_after_a_graph6_line_exits_3():
+    # a graph6 line fixes its own length, so the read stops a block past it
+    code, stderr = _compute_on_endless_stdin(b"A_\n")
+    assert code == 3, stderr
+    assert stderr == (f"graphdim: cap exceeded: /dev/stdin: the file does not end within "
+                      f"{inputs._BLANK_BLOCK} bytes of its graph6 body\n")
+
+
+@pytest.mark.parametrize("head", ["A_", ">>graph6<<A_", "\n" * 300 + "Bw", "~?AA" + "?" * 1398],
+                         ids=["short", "prefixed", "blank-prefix", "long-size"])
+def test_a_graph6_file_ends_within_a_block_of_its_body(tmp_path, head):
+    # less than a block of blanks after the body parses; a block is refused
+    block = inputs._BLANK_BLOCK
+    path = tmp_path / "g.g6"
+    path.write_bytes((head + " " * (block - 1)).encode("ascii"))
+    assert inputs.load_input(str(path), 130)[0] == parse_graph6(head)
+    path.write_bytes((head + "\n" * block).encode("ascii"))
+    with pytest.raises(CapExceeded, match=re.escape(
+            f"{path}: the file does not end within {block} bytes of its graph6 body")):
+        inputs.load_input(str(path), 130)
 
 
 @pytest.mark.parametrize("head,line,count,tail", [

@@ -1,9 +1,12 @@
+import collections
 import hashlib
+import itertools
 import json
 import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -748,6 +751,56 @@ def test_subsets_of_size_exhaustive_and_distinct():
             assert len(set(seen)) == len(seen)
             assert seen == sorted(seen)
             assert all(m.bit_count() == s for m in seen)
+
+
+def _gosper(n, s):
+    """The s-subsets of {0..n-1} ascending, by Gosper's hack: each step
+    gives the next larger int of the same popcount."""
+    if s == 0:
+        yield 0
+        return
+    x = (1 << s) - 1
+    while x < 1 << n:
+        yield x
+        low = x & -x
+        ripple = x + low
+        x = ((ripple ^ x) >> (low.bit_length() + 1)) | ripple
+
+
+def test_subsets_of_size_is_gospers_order_across_the_block_boundary():
+    # the low 12 vertices come from the pattern tables, the rest from the
+    # high parts; n <= 14 crosses that boundary with every subset size
+    for n in range(15):
+        for s in range(n + 1):
+            assert list(subsets_of_size(n, s)) == list(_gosper(n, s)), (n, s)
+
+
+@pytest.mark.parametrize("n,sizes", [
+    (20, range(21)),
+    # the middle sizes of n = 26 hold up to 10 M subsets each; these still
+    # reach high parts of every weight 0..14 and blocks of every weight 0..12
+    (26, (*range(8), *range(20, 27))),
+], ids=["20", "26"])
+def test_subsets_of_size_far_past_the_block_boundary(n, sizes):
+    full = (1 << n) - 1
+    for s in sizes:
+        # enumerate counts and the deque keeps the last 500, in C
+        last = collections.deque(enumerate(subsets_of_size(n, s), 1), maxlen=500)
+        assert last[-1][0] == math.comb(n, s)
+        assert list(itertools.islice(subsets_of_size(n, s), 500)) == list(
+            itertools.islice(_gosper(n, s), 500))
+        # the complement reverses the order: the last s-subsets are the
+        # complements of the first (n - s)-subsets, read backwards
+        tail = [full ^ m for m in itertools.islice(_gosper(n, n - s), 500)][::-1]
+        assert [m for _, m in last] == tail
+
+
+def test_the_first_subset_of_a_wide_set_comes_at_once():
+    # the high parts start at the least of the right weight, not at 0
+    start = time.perf_counter()
+    assert next(subsets_of_size(60, 30)) == 2**30 - 1
+    assert next(subsets_of_size(60, 59)) == 2**59 - 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_subsets_of_size_range_check():

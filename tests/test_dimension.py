@@ -609,6 +609,68 @@ def test_dim_frontier_certificates_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == _DIM_FRONTIER_DIGEST
 
 
+def _mycielski(k):
+    """The Mycielski graph M_k (k >= 2) from its edges: M_2 is K_2, and
+    M_(k+1) adds a shadow u_i for each vertex v_i of M_k, adjacent to the
+    neighbors of v_i, and one vertex adjacent to every shadow."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        edges = (edges + [(u + n, v) for u, v in edges] + [(u, v + n) for u, v in edges]
+                 + [(n + i, 2 * n) for i in range(n)])
+        n = 2 * n + 1
+    return Graph.from_edges(n, edges)
+
+
+# sha256 of the (host, kind) log of every greedy majority and decision scan
+# that dim_exact ran on _walk_sample, recorded with a host loop that tested
+# each host, in ascending order, against every settled set
+_HOST_WALK_DIGEST = "b5d6cf7ae8b9e6d1bed3841c7b3eac5b314d6b118d54612bc9d59605b256afe8"
+
+
+def test_host_walk_pinned(monkeypatch):
+    # n = 8..16 straddles the 12 low vertices of a block; M4 has dim 2
+    # above its subdim(V) = 1, so its loop raises the incumbent
+    rng = random.Random(3801)
+    graphs = [random_graph(rng, n, p) for n in range(8, 17) for p in (0.3, 0.5, 0.7)
+              for _ in range(6)] + [_mycielski(4)]
+    log = []
+    greedy, scan = dimension._greedy_majority, dimension._subdim_scan
+
+    def greedy_logged(adj, host, s, best):
+        log.append((host, "greedy"))
+        return greedy(adj, host, s, best)
+
+    def scan_logged(g, host, s, start):
+        log.append((host, "scan"))
+        return scan(g, host, s, start)
+
+    monkeypatch.setattr(dimension, "_greedy_majority", greedy_logged)
+    monkeypatch.setattr(dimension, "_subdim_scan", scan_logged)
+    for g in graphs:
+        dim_exact(g, cap=g.n)
+    assert len(log) == 1599
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == _HOST_WALK_DIGEST
+
+
+# sha256 of the dim_exact certificates of G(22, 0.3), G(24, 0.3) (each
+# drawn with random.Random(11)) and M5, recorded with a host loop that
+# tested each host against every settled set; test_dim_frontier_certificates_pinned
+# covers only p >= 0.5, where few hosts are left to walk
+_SPARSE_FRONTIER_DIGEST = "4eb040816c1de450f65583a7b64803fb1d45fd9336a4bef3f48290a679ffde39"
+
+
+def test_sparse_frontier_certificates_pinned():
+    rows = []
+    for g in (random_graph(random.Random(11), 22, 0.3), random_graph(random.Random(11), 24, 0.3),
+              _mycielski(5)):
+        cert = dim_exact(g, cap=g.n)
+        inner = cert.inner
+        rows.append((cert.value, cert.witness_max, inner.value, inner.witness_min,
+                     inner.host_size))
+    assert [row[0] for row in rows] == [3, 3, 2]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _SPARSE_FRONTIER_DIGEST
+
+
 def _lemma_holds(g, host):
     """dim_exact's lemma for a host of size m = 2b + 2: (i) at least b + 1
     members are adjacent to every other member, or (ii) b is odd and every
