@@ -16,8 +16,10 @@ of the induced subgraph, and maps only its witness back to the host.  A
 pruned branch-and-bound (``subdim_exists`` / ``subdim``) does the real
 work: it first reduces the host to its degree core (deleting vertices with
 too many neighbors to lie in any witness of four or more members), then
-cuts the neighbors of saturated members and rejects a pick that leaves a
-member too few non-neighbors to complete the selection within degree d.
+cuts the neighbors of saturated members, rejects a pick that leaves a
+member too few non-neighbors to complete the selection within degree d,
+and at its top two picks runs the core's test once more on the smaller
+host the branch can still draw on.
 Both return the same value and the same witness: subsets are explored in
 increasing numeric bitset order (the oracle's relabeling keeps that
 order), so the reported witness is always the numerically smallest optimal
@@ -122,14 +124,31 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     On a regular host it deletes every vertex, a refutation, or none (Q5
     loses none).
 
-    Neither the cuts nor the budgets change the leaf order.  A cut vertex
-    would have made a saturated member exceed d, and since the included set
-    and the cuts only grow along a branch it could never have joined below
-    that point either.  A rejected budget means every completion gives v or
-    u more than d included neighbors, since the members still to come lie
-    in `below`.  So every pruned branch holds no complete selection, the
-    first complete selection is still the numerically smallest witness, and
-    an exhausted search is still a refutation.
+    The same lemma then runs once on each branch's host at the top two
+    picks.  A pick v at depth 0 or 1 fixes the host its branch can still
+    draw on, H = included | v | below: the members already included and the
+    candidates left below v after its cuts.  Every completion lies in H,
+    since its members still to come lie in below.  So with slack =
+    d + |H| - s the branch is left when v or the included member has more
+    than slack neighbors in H, and every candidate with more is dropped
+    from below.  It is one pass (_crowded), not a fixpoint, made only once
+    the budgets pass, and is skipped when v is the last candidate at its
+    depth, whose host at depth 0 is the root core itself.  It stops at
+    depth 1 and runs only for s >= 4 and d >= 2: deeper picks fix smaller
+    hosts whose pass costs more than it cuts, and with d <= 1 the
+    saturation cuts leave the pass little to find (measured on the
+    benchmark's decision calls, split by depth and by d).
+
+    Neither the cuts, the budgets nor the branch test change the leaf
+    order.  A cut vertex would have made a saturated member exceed d, and
+    since the included set and the cuts only grow along a branch it could
+    never have joined below that point either.  A rejected budget means
+    every completion gives v or u more than d included neighbors, since the
+    members still to come lie in `below`.  A vertex the branch test drops,
+    or a pick it leaves, lies in no completion of that branch.  So every
+    pruned branch holds no complete selection, the first complete selection
+    is still the numerically smallest witness, and an exhausted search is
+    still a refutation.
 
     Uncapped by design, like subdim: the capped entry points (dim_exact,
     decomposition_coloring, dim_via_transitivity; load_input for the CLI)
@@ -142,10 +161,13 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
     if s == 0:
         return 0
     adj = g.adj
+    tested = 0  # the depths whose picks test their branch's host
     if s > 3:  # a search for fewer members costs about one pass of the core
         subset = _degree_core(adj, subset, s, d)
         if subset.bit_count() < s:
             return None
+        if d > 1:
+            tested = 2
     origin = [subset] + [0] * (s - 1)  # per depth, the candidates it was entered with
     # per depth, candidates still to try, lowest first; the lowest s - 1
     # host vertices stay free to lie below the pick
@@ -184,6 +206,16 @@ def subdim_exists(g: Graph, subset: int, s: int, d: int) -> int | None:
             nbrs ^= bit
         if nbrs or below.bit_count() < need:
             continue
+        if depth < tested and pool[depth]:
+            # every completion lies in the branch's host: a member of one has
+            # at most d + |host| - s neighbors in it
+            host = included | low | below
+            crowded = _crowded(adj, host, d + host.bit_count() - s)
+            if crowded & (included | low):
+                continue
+            below ^= crowded
+            if below.bit_count() < need:
+                continue
         included |= low
         if not need:
             return included
@@ -200,17 +232,22 @@ def _degree_core(adj, host: int, s: int, d: int) -> int:
     are left; every s-subset of the host with max degree <= d lies inside
     (subdim_exists's docstring gives the argument)."""
     while True:
-        slack = d + host.bit_count() - s
-        drop = 0
-        rest = host
-        while rest:
-            low = rest & -rest
-            if (adj[low.bit_length() - 1] & host).bit_count() > slack:
-                drop |= low
-            rest ^= low
+        drop = _crowded(adj, host, d + host.bit_count() - s)
         host ^= drop
         if not drop or host.bit_count() < s:
             return host
+
+
+def _crowded(adj, host: int, slack: int) -> int:
+    """The members of a host with more than slack neighbors in it."""
+    drop = 0
+    rest = host
+    while rest:
+        low = rest & -rest
+        if (adj[low.bit_length() - 1] & host).bit_count() > slack:
+            drop |= low
+        rest ^= low
+    return drop
 
 
 def _lowest(mask: int, k: int) -> int:

@@ -24,10 +24,11 @@ Two rules bound a file's header: its first non-blank line must start within
 its first 64 KiB, and an edge list's count line must end within 64 bytes.
 A file that breaks either rule is refused (CapExceeded) after at most
 64 KiB + 64 bytes have been read, before the cap check.  Past the check,
-a graph6 file must end within 64 KiB of the body its n fixes, and is read
-at most that far; an edge list is read to its end, since duplicate edges
-give its length no bound.  A file is read once, through one handle, so
-pipes and FIFOs work too.
+a file must end within 64 KiB of the longest body its n allows, and is
+read at most that far: for graph6 the body its n fixes, for an edge list
+C(n, 2) lines of "n-1 n-1\r\n" (duplicate edges are allowed, but not
+without end).  A file is read once, through one handle, so pipes and
+FIFOs work too.
 """
 
 from __future__ import annotations
@@ -130,9 +131,12 @@ def _read_file(path: str, cap: int | None) -> Graph:
     format, not the file's name: graph6 bytes are 63..126, so no graph6
     line is an integer.  The vertex count it declares is checked against
     the cap before any work or memory that grows with the file.  Past the
-    check a graph6 file is read at most _BLANK_BLOCK bytes past the body
-    its header fixes, and one that goes on that far is refused
-    (CapExceeded), as a blank prefix is; an edge list is read to its end.
+    check a file is read at most _BLANK_BLOCK bytes past the longest body
+    its header allows, and one that goes on that far is refused
+    (CapExceeded), as a blank prefix is.  A graph6 header fixes its body; an
+    edge list's n allows C(n, 2) lines, none longer than "n-1 n-1\r\n", so
+    every file format_edge_list writes, with either line end, is read whole,
+    while duplicate edges or blank lines without end are refused.
     The whole text is parsed as read, so parse errors number its lines,
     and a file too large to hold, as text or as a graph, is a ParseError
     rather than a MemoryError."""
@@ -148,31 +152,47 @@ def _read_file(path: str, cap: int | None) -> Graph:
         first = head.splitlines()[0].strip() if head else ""
         if not first.isascii():
             raise ParseError(f"{path} is not an ASCII graph file")
+        # the body ends where its header's n fixes (graph6) or allows (an
+        # edge list: C(n, 2) lines "n-1 n-1\r\n"); less than _BLANK_BLOCK
+        # bytes may follow it
+        start = len(raw) - len(head) + len(first)
         if _INTEGER.fullmatch(first):
             if len(first) >= _HEAD:
                 raise CapExceeded(
                     f"{path}: its vertex count line does not end within {_HEAD} bytes")
-            n, parse, limit = int(first), parse_edge_list, None
+            n, parse = int(first), parse_edge_list
+            end = start + n * (n - 1) // 2 * len(f"{n - 1} {n - 1}\r\n")
+            body = "the longest edge list its vertex count allows"
         else:
             try:
-                n, body = _g6_header(first.encode("ascii"))
+                n, rest = _g6_header(first.encode("ascii"))
             except ParseError as exc:
                 raise ParseError(f"{path} is neither an edge list nor graph6 ({exc})") from None
-            # the graph6 line ends where its header's n fixes; less than
-            # _BLANK_BLOCK bytes may follow it
-            end = len(raw) - len(head) + len(first) - len(body) + (n * (n - 1) // 2 + 5) // 6
-            parse, limit = parse_graph6, end + _BLANK_BLOCK
+            parse = parse_graph6
+            end = start - len(rest) + (n * (n - 1) // 2 + 5) // 6
+            body = "its graph6 body"
         require_within_cap(n, cap, "load_input")
         try:
-            text = raw + fh.read(None if limit is None else max(limit - len(raw), 0))
-            if limit is not None and len(text) >= limit:
+            text = _read_to(fh, raw, end + _BLANK_BLOCK)
+            if len(text) >= end + _BLANK_BLOCK:
                 raise CapExceeded(
-                    f"{path}: the file does not end within {_BLANK_BLOCK} bytes of its graph6 body")
+                    f"{path}: the file does not end within {_BLANK_BLOCK} bytes of {body}")
             return parse(text.decode("ascii"))
         except UnicodeDecodeError:
             raise ParseError(f"{path} is not an ASCII graph file") from None
         except MemoryError:
             raise ParseError(f"{path} is too large to hold") from None
+
+
+def _read_to(fh, raw: bytes, limit: int) -> bytes:
+    """raw and what follows it in fh, up to limit bytes in all, read a
+    block at a time: one read of the whole rest would allocate it first,
+    however far past the file's end the limit lies."""
+    parts, size = [raw], len(raw)
+    while size < limit and (part := fh.read(min(limit - size, _BLANK_BLOCK))):
+        parts.append(part)
+        size += len(part)
+    return b"".join(parts)
 
 
 def load_input(spec: str, cap: int | None = None) -> tuple[Graph, dict]:

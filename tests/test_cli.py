@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from graphdim import cli, dimension, inputs, verify
 from graphdim.cli import cmd_compute
 from graphdim.coloring import Coloring, is_proper
-from graphdim.core import (cycle_graph, encode_graph6, hypercube_graph, max_degree_within,
-                           mask_of, parse_edge_list, parse_graph6)
+from graphdim.core import (Graph, cycle_graph, encode_graph6, format_edge_list, hypercube_graph,
+                           max_degree_within, mask_of, parse_edge_list, parse_graph6)
 from graphdim.errors import CapExceeded, DomainError, ParseError
 
 from helpers import subprocess_env
@@ -126,10 +126,10 @@ def test_a_blank_prefix_of_a_block_or_more_is_refused(tmp_path):
                            f"does not start within {inputs._BLANK_BLOCK} bytes\n")
 
 
-def _compute_on_endless_stdin(head):
+def _compute_on_endless_stdin(head, line=b"\n"):
     """The exit code and stderr of `graphdim compute /dev/stdin` fed `head`
-    and then line breaks without end, under a 256 MB address space, so a
-    reader that holds what it reads fails fast instead of filling memory."""
+    and then `line` without end, under a 256 MB address space, so a reader
+    that holds what it reads fails fast instead of filling memory."""
     script = ("import resource, runpy, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
               "sys.argv = ['graphdim', 'compute', '/dev/stdin']\n"
@@ -141,7 +141,7 @@ def _compute_on_endless_stdin(head):
         try:
             proc.stdin.write(head)
             while True:
-                proc.stdin.write(b"\n" * 4096)
+                proc.stdin.write(line * (4096 // len(line)))
         except OSError:  # the reader has exited, or was killed
             pass
 
@@ -176,6 +176,53 @@ def test_an_endless_stdin_after_a_graph6_line_exits_3():
                       f"{inputs._BLANK_BLOCK} bytes of its graph6 body\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("line", [b"\n", b"0 1\n"], ids=["blank-lines", "duplicate-edges"])
+def test_an_endless_stdin_after_an_edge_list_exits_3(line):
+    # n = 2 allows one line "1 1\r\n", so the read stops a block past it
+    code, stderr = _compute_on_endless_stdin(b"2\n0 1\n", line)
+    assert code == 3, stderr
+    assert stderr == (f"graphdim: cap exceeded: /dev/stdin: the file does not end within "
+                      f"{inputs._BLANK_BLOCK} bytes of the longest edge list its vertex "
+                      f"count allows\n")
+
+
+@pytest.mark.parametrize("n,edges", [(0, []), (1, []), (2, [(0, 1)]), (5, "all"), (16, "all"),
+                                     (16, [(0, 15)])])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_every_edge_list_the_formatter_writes_loads(tmp_path, n, edges, newline):
+    # the longest body the read allows is C(n, 2) lines "n-1 n-1\r\n"
+    if edges == "all":
+        edges = list(itertools.combinations(range(n), 2))
+    g = Graph.from_edges(n, edges)
+    path = tmp_path / "g.txt"
+    path.write_bytes((format_edge_list(g) + "\n").replace("\n", newline).encode("ascii"))
+    assert inputs.load_input(str(path), 16)[0] == g
+
+
+@pytest.mark.parametrize("text", ["3\n0 1\n0 2\n1 2\n", "\n \n3 \r\n0 1\r\n"])
+def test_an_edge_list_ends_within_a_block_of_the_longest_body_its_n_allows(tmp_path, text):
+    # C(3, 2) lines "2 2\r\n" after the count line, and less than a block of
+    # blanks, parse; a block is refused
+    end = len(text) - len(text.lstrip()) + 1 + 3 * 5 + inputs._BLANK_BLOCK
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.ljust(end - 1).encode("ascii"))
+    assert inputs.load_input(str(path), None)[0] == parse_edge_list(text)
+    path.write_bytes(text.ljust(end).encode("ascii"))
+    with pytest.raises(CapExceeded, match=re.escape(
+            f"{path}: the file does not end within {inputs._BLANK_BLOCK} bytes of the "
+            f"longest edge list its vertex count allows")):
+        inputs.load_input(str(path), None)
+
+
+def test_a_sparse_edge_list_under_a_large_cap_loads(tmp_path):
+    # its bound, C(n, 2) lines, is some 65 GB: the read must not allocate it
+    path = tmp_path / "g.txt"
+    path.write_text("100000\n0 99999\n")
+    g = inputs.load_input(str(path), 100_000)[0]
+    assert g.n == 100_000 and g.adj[0] == 1 << 99_999
+
+
 @pytest.mark.parametrize("head", ["A_", ">>graph6<<A_", "\n" * 300 + "Bw", "~?AA" + "?" * 1398],
                          ids=["short", "prefixed", "blank-prefix", "long-size"])
 def test_a_graph6_file_ends_within_a_block_of_its_body(tmp_path, head):
@@ -191,7 +238,9 @@ def test_a_graph6_file_ends_within_a_block_of_its_body(tmp_path, head):
 
 
 @pytest.mark.parametrize("head,line,count,tail", [
-    ("2\n", "0 1\n", 4_000_000, ""),  # 16 MB of one edge, duplicates allowed
+    # 16 MB of one edge, duplicates allowed, within the 22 MB that the
+    # C(2000, 2) lines of "1999 1999\r\n" allow
+    ("2000\n", "0 1\n", 4_000_000, ""),
 ], ids=["duplicate-edges"])
 def test_a_file_within_the_cap_too_large_to_hold_is_an_input_error(tmp_path, head, line,
                                                                     count, tail):
@@ -201,7 +250,7 @@ def test_a_file_within_the_cap_too_large_to_hold_is_an_input_error(tmp_path, hea
     path.write_text(head + line * count + tail)
     code = ("import resource, runpy, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
-            "sys.argv = ['graphdim', 'compute', sys.argv[1]]\n"
+            "sys.argv = ['graphdim', 'compute', sys.argv[1], '--cap', '2000']\n"
             "runpy.run_module('graphdim', run_name='__main__')\n")
     proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
                           text=True, env=subprocess_env())

@@ -193,6 +193,24 @@ def test_degree_core_keeps_every_fitting_subset_property(case):
         assert not fitting
 
 
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_decision_cases())
+def test_a_fitting_subset_fits_the_host_of_its_top_two_members_property(case):
+    # a fitting s-subset m with top members t > v lies in H = host & {<= t}
+    # and in H = {t} | host & {<= v}; a member of m loses at most |H| - s of
+    # its neighbors in H, so none has more than d + |H| - s of them: the
+    # test subdim_exists applies to each branch's host at its top two picks
+    g, host, s, d = case
+    for m in _subsets_within(host, s):
+        if s < 2 or max_degree_within(g, m) > d:
+            continue
+        t = m.bit_length() - 1
+        v = (m ^ 1 << t).bit_length() - 1
+        for h in (host & (2 << t) - 1, 1 << t | host & (2 << v) - 1):
+            slack = d + h.bit_count() - s
+            assert all((g.adj[u] & h).bit_count() <= slack for u in bits_of(m))
+
+
 def test_subdim_of_the_5_cube_is_theorem1s_ceil_sqrt_5():
     q5 = hypercube_graph(5)
     assert subdim(q5, q5.vertex_mask) == SubdimCertificate(3, 4161512, 32)
@@ -221,6 +239,33 @@ def test_dense_certificates_pinned():
         assert subdim_exists(g, g.vertex_mask, cert.host_size // 2 + 1, cert.value - 1) is None
 
 
+def _dense_hosts():
+    # one seeded graph for each n = 19, 20 and p = 0.6, 0.7, 0.75, 0.8, with
+    # its vertex set and that set less two seeded vertices (one, if they tie)
+    rng = random.Random(2020)
+    hosts = []
+    for n in (19, 20):
+        for p in (0.6, 0.7, 0.75, 0.8):
+            g = random_graph(rng, n, p)
+            hosts.append((g, g.vertex_mask))
+            hosts.append((g, g.vertex_mask & ~(1 << rng.randrange(n)) & ~(1 << rng.randrange(n))))
+    return hosts
+
+
+# sha256 of the subdim certificates of the 16 dense hosts, recorded before
+# subdim_exists tested each branch's host at its top two picks
+_DENSE_HOSTS_CERTIFICATES_DIGEST = (
+    "d00b297af0bc2ed8223bac50e421a77d787b9cd4dd957f725a44b22f0bf0ca15")
+
+
+def test_dense_host_certificates_pinned():
+    rows = []
+    for g, host in _dense_hosts():
+        cert = subdim(g, host)
+        rows.append((cert.value, cert.witness_min, cert.host_size))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _DENSE_HOSTS_CERTIFICATES_DIGEST
+
+
 class _CountedRows(tuple):
     reads = 0
 
@@ -230,16 +275,17 @@ class _CountedRows(tuple):
 
 
 def test_dense_scans_read_few_adjacency_rows():
-    # the budget bounds and the degree core prune only selection-free
-    # branches, so no output shows them; the search's adjacency-row reads do.
-    # Before the budgets the 20 scans read 594,483 rows; a budget one too
-    # loose reads 35,811 or more; with the budgets but before the degree
-    # core, 25,055
+    # the budget bounds, the degree core and the branch hosts' test prune only
+    # selection-free branches, so no output shows them; the search's
+    # adjacency-row reads do.  Before the budgets the 20 scans read 594,483
+    # rows; a budget one too loose reads 35,811 or more; with the budgets
+    # but before the degree core, 25,055; with the core but before the
+    # branch test, 9,839; with the test at the top pick only, 7,202
     _CountedRows.reads = 0
     for g in _dense_graphs():
         g = Graph._built(g.n, _CountedRows(g.adj))
         subdim(g, g.vertex_mask)
-    assert _CountedRows.reads <= 9_839
+    assert _CountedRows.reads <= 6_681
 
 
 def test_oracle_reads_few_adjacency_rows():
