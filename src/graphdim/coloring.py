@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .core import (Graph, _check_subset, _entries, _instance, _integer, _permutation, bits_of,
-                   ceil_log2)
+from .core import (Graph, _check_subset, _checked_make, _entries, _instance, _integer,
+                   _permutation, bits_of, ceil_log2)
 from .dimension import SubdimCertificate, subdim
 from .errors import DomainError
 from .limits import require_within_cap
@@ -38,8 +38,8 @@ __all__ = [
 def _labels(colors, n: int | None = None) -> tuple:
     """colors as a tuple of hashable labels; anything else is refused with
     DomainError, as the coloring kind's input.  A Coloring is refused too,
-    as every record of the package is: it is a tuple, but of its colors and
-    palette_size.  With n, at most n + 1 labels are read (see _entries)."""
+    as every record of the package is: it is a tuple, but of its fields.
+    With n, at most n + 1 labels are read (see _entries)."""
     rule = "colors must be a sequence of color ids"
     try:
         colors = _entries(colors, rule, n)
@@ -49,11 +49,10 @@ def _labels(colors, n: int | None = None) -> tuple:
     return colors
 
 
-class Coloring(namedtuple("Coloring", "colors palette_size")):
+class Coloring(namedtuple("Coloring", "colors")):
     """Total proper coloring; color ids are gap-free 0..palette_size-1, and
-    palette_size is derived from them.  Coloring(colors) takes the colors
-    alone, as does _replace; _make takes both fields and refuses a
-    palette_size other than the derived one."""
+    palette_size is read from them.  Coloring(colors), _make and _replace
+    all check the ids the same way."""
 
     __slots__ = ()
 
@@ -62,22 +61,14 @@ class Coloring(namedtuple("Coloring", "colors palette_size")):
         used = set(colors)
         if used != set(range(len(used))) or any(type(c) is not int for c in used):
             raise DomainError("color ids must be exactly 0..k-1 for some k")
-        return tuple.__new__(cls, (colors, len(used)))
+        return tuple.__new__(cls, (colors,))
 
-    @classmethod
-    def _make(cls, fields) -> "Coloring":
-        colors, palette_size = fields
-        col = cls(colors)
-        if palette_size != col.palette_size:
-            raise DomainError(f"palette_size {palette_size!r} differs from the "
-                              f"{col.palette_size} colors used")
-        return col
+    _make = classmethod(_checked_make)
 
-    def _replace(self, **fields) -> "Coloring":
-        return type(self)(**{"colors": self.colors, **fields})
-
-    def __getnewargs__(self) -> tuple:
-        return (self.colors,)
+    @property
+    def palette_size(self) -> int:
+        """The number of colors used, k for ids 0..k-1."""
+        return len(set(self.colors))
 
 
 class DecompositionRound(namedtuple("DecompositionRound", "chunk chunk_delta palette_offset")):

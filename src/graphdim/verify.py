@@ -20,10 +20,10 @@ GRAPHDIM_CAP never changes a report.  All randomness is seeded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
-from functools import lru_cache
 
 from .cayley import (
     AbelianGroup,
@@ -85,7 +85,7 @@ def _labeled_graphs(n: int):
         yield Graph._built(n, tuple(adj))
 
 
-@lru_cache(maxsize=8)
+@functools.cache
 def _sweep_stats(n: int) -> list[tuple]:
     """(graph, graph6, chi, subdim certificate of V, dim) of each labeled
     n-vertex graph, for n >= 1, read from its n one-vertex-deleted minors.
