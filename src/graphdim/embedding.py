@@ -148,9 +148,12 @@ def verify_embedding(g: Graph, emb: Embedding) -> EmbeddingReport:
             # the vertices whose norm is 1 - num/den, still reduced
             if row & ~(near | with_norm.get((den - num, den), 0)):
                 return False
-            p = points[u]
             # each edge with a shared coordinate once, from its lower end
-            for v in bits_of((row & near) >> (u + 1) << (u + 1)):
+            above = (row & near) >> (u + 1) << (u + 1)
+            if not above:
+                continue
+            p = points[u]
+            for v in bits_of(above):
                 q = points[v]
                 dot = sum(p[i] * q[i] for i in supports[u] if q[i])
                 if Fraction(num, den) + Fraction(*norm_of[v]) - 2 * dot != 1:

@@ -13,9 +13,12 @@ computes its invariants once.  It reads chi and dim of each n-vertex graph
 from its n one-vertex-deleted minors, records of the (n - 1) sweep: every
 proper host lies in some V - v, so dim(G) = max(subdim(G, V),
 max_v dim(G - v)), and chi(G - v) <= chi(G) <= chi(G - v) + 1, so one
-chromatic decision settles chi.  Every capped call passes an explicit cap
-(the checked graph's size, or DEFAULT_CAP for loading the family specs), so
-GRAPHDIM_CAP never changes a report.  All randomness is seeded.
+chromatic decision settles chi.  The critical subgraph that lemma2 checks
+is the first chi-keeping minor's, lifted back, or V when no minor keeps
+chi, so it takes no decision of its own.  Every capped call passes an
+explicit cap (the checked graph's size, or DEFAULT_CAP for loading the
+family specs), so GRAPHDIM_CAP never changes a report.  All randomness is
+seeded.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .cayley import (
 )
 from .coloring import (
     _color_decision,
-    _critical,
     _decompose,
     _degree_order,
     chromatic_bound_from_dim,
@@ -87,35 +89,51 @@ def _labeled_graphs(n: int):
 
 @functools.cache
 def _sweep_stats(n: int) -> list[tuple]:
-    """(graph, graph6, chi, subdim certificate of V, dim) of each labeled
-    n-vertex graph, for n >= 1, read from its n one-vertex-deleted minors.
+    """(graph, graph6, chi, subdim certificate of V, dim, critical subset)
+    of each labeled n-vertex graph, for n >= 1, read from its n
+    one-vertex-deleted minors.
 
     Every G - v, relabeled in order, is a record of the (n - 1) sweep (the
-    empty graph, with chi = dim = 0, for n = 1).  Every nonempty proper
-    vertex set lies in some V - v, so dim(G) = max(subdim(G, V),
-    max_v dim(G - v)).  Deleting a vertex lowers chi by at most one, so with
-    m = max_v chi(G - v), m <= chi(G) <= m + 1 and one decision at m
-    settles it.
+    empty graph, with chi = dim = 0 and critical subset 0, for n = 1).
+    Every nonempty proper vertex set lies in some V - v, so dim(G) =
+    max(subdim(G, V), max_v dim(G - v)).  Deleting a vertex lowers chi by
+    at most one, so with m = max_v chi(G - v), m <= chi(G) <= m + 1 and one
+    decision at m settles it.
+
+    The critical subset is critical_subgraph(G), read from the minors.  Let
+    v* be the least v with chi(G - v) = chi(G).  When the decision fails
+    there is none and crit(G) = V; otherwise v* is the first v whose minor
+    raises the running maximum to m, and crit(G) = crit(G - v*) with a zero
+    bit inserted at v*.  critical_subgraph drops v exactly when the current
+    subset minus v keeps chi = target.  In G's run every u < v* is kept,
+    since chi(G - u) < chi(G), and then v* is dropped.  In the minor's run
+    every u < v* is kept too, since G - {v*, u} lies in G - u.  From v* + 1
+    on, both runs test the same sets against the same target, and the
+    relabeling keeps their order.
     """
-    minors = ({(): (0, 0)} if n == 1 else
-              {g.adj: (chi, dim_value) for g, _, chi, _, dim_value in _sweep_stats(n - 1)})
+    minors = ({(): (0, 0, 0)} if n == 1 else
+              {g.adj: (chi, dim_value, crit)
+               for g, _, chi, _, dim_value, crit in _sweep_stats(n - 1)})
+    # G - v keeps each row's bits below v and shifts those above it down
+    splits = [((1 << v) - 1, -1 << v) for v in range(n)]
     out = []
     for g in enumerate_labeled_graphs(n):
         adj = g.adj
-        chi = dim_value = 0
-        for v in range(n):
-            lo = (1 << v) - 1  # rows keep their bits below v and shift those above it
-            hi = ~lo
-            minor_chi, minor_dim = minors[tuple([r & lo | r >> 1 & hi
-                                                 for r in adj[:v] + adj[v + 1:]])]
-            if minor_chi > chi:
+        chi = dim_value = crit = 0
+        for v, (lo, hi) in enumerate(splits):
+            rows = [r & lo | r >> 1 & hi for r in adj]
+            del rows[v]
+            minor_chi, minor_dim, minor_crit = minors[tuple(rows)]
+            if minor_chi > chi:  # the first minor to reach this chi: lift its subset back
                 chi = minor_chi
+                crit = minor_crit & lo | minor_crit >> v << v + 1
             if minor_dim > dim_value:
                 dim_value = minor_dim
         if _color_decision(adj, _degree_order(adj, range(n)), chi) is None:
             chi += 1
+            crit = g.vertex_mask
         full = subdim(g, g.vertex_mask)
-        out.append((g, encode_graph6(g), chi, full, max(full.value, dim_value)))
+        out.append((g, encode_graph6(g), chi, full, max(full.value, dim_value), crit))
     return out
 
 
@@ -222,7 +240,7 @@ def suite_theorem2(max_n: int) -> tuple[dict, list[dict]]:
     labeled graph up to the sweep cap, with the decomposition coloring
     meeting the same palette bound in at most max(1, ceil(log2 n)) rounds."""
     instances = []
-    for g, g6, chi, full, dim_value in _records(max_n):
+    for g, g6, chi, full, dim_value, _ in _records(max_n):
         bound = chromatic_bound_from_dim(dim_value, g.n)
         col, rounds = _decompose(g, full)
         ok = (chi <= bound
@@ -238,11 +256,10 @@ def suite_theorem2(max_n: int) -> tuple[dict, list[dict]]:
 def suite_lemma2(max_n: int) -> tuple[dict, list[dict]]:
     """Critical subgraphs keep the chromatic number and have min degree
     at least chi - 1, on every labeled graph up to the sweep cap.  The
-    subgraph is cut down to the sweep's chi, and chromatic_number_within
-    of the result checks that chi."""
+    subgraph is the sweep's, read from the minors, and
+    chromatic_number_within of it checks the sweep's chi."""
     instances = []
-    for g, g6, chi, _, _ in _records(max_n):
-        core = _critical(g, chi)
+    for g, g6, chi, _, _, core in _records(max_n):
         core_chi = chromatic_number_within(g, core, cap=g.n)
         preserved = core_chi == chi
         degrees_ok = all((g.adj[v] & core).bit_count() >= core_chi - 1 for v in bits_of(core))
@@ -258,7 +275,7 @@ def suite_corollary1(max_n: int) -> tuple[dict, list[dict]]:
     """2*chi never exceeds 2*(dim+1)*max(1, ceil(log2 n)) on the sweep, and
     sampled graphs get their coloring-based embedding built and verified."""
     instances = []
-    for counter, (g, g6, chi, _, dim_value) in enumerate(_records(max_n)):
+    for counter, (g, g6, chi, _, dim_value, _) in enumerate(_records(max_n)):
         via_chi = 2 * chi
         via_dim = 2 * chromatic_bound_from_dim(dim_value, g.n)
         instances.append({"case": g6, "bound_via_chi": via_chi,

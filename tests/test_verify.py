@@ -4,8 +4,8 @@ import json
 import pytest
 
 from graphdim import coloring, verify
-from graphdim.coloring import chromatic_number_within
-from graphdim.core import Graph, encode_graph6
+from graphdim.coloring import chromatic_number_within, critical_subgraph
+from graphdim.core import Graph, bits_of, encode_graph6
 from graphdim.dimension import _dim_search, subdim, subdim_naive
 from graphdim.errors import CapExceeded, DomainError
 from graphdim.verify import (
@@ -54,20 +54,26 @@ def test_enumeration_checks_its_argument_at_the_call():
 def test_sweep_stats_consistent():
     stats = _sweep_stats(4)
     assert len(stats) == 64
-    for want, (g, g6, _, full, _) in zip(enumerate_labeled_graphs(4), stats):
+    for want, (g, g6, _, full, _, _) in zip(enumerate_labeled_graphs(4), stats):
         assert g == want
         assert encode_graph6(g) == g6
         assert subdim(g, g.vertex_mask) == full
-    # chi and dim, read from the minors, against the exact coloring and the
-    # host loop: every graph with n <= 5, and a fixed sample at n = 6
+    # chi, dim and the critical subset, read from the minors, against the
+    # exact coloring, the host loop and critical_subgraph: every graph with
+    # n <= 5, and a fixed sample at n = 6
     records = [r for n in range(1, 6) for r in _sweep_stats(n)] + _sweep_stats(6)[::97]
     assert len(records) == 1099 + 338
-    for g, _, chi, full, dim_value in records:
+    for g, _, chi, full, dim_value, crit in records:
         assert chi == chromatic_number_within(g, g.vertex_mask)
         assert dim_value == _dim_search(g, full).value
+        assert crit == critical_subgraph(g)
+        # and by the definition: crit keeps chi, and losing any vertex lowers it
+        assert chromatic_number_within(g, crit) == chi
+        for v in bits_of(crit):
+            assert chromatic_number_within(g, crit ^ 1 << v) == chi - 1
     # the samples at n = 5 and 6 against the literal max over hosts
     for n in (5, 6):
-        for g, _, _, _, dim_value in _sweep_stats(n)[::97]:
+        for g, _, _, _, dim_value, _ in _sweep_stats(n)[::97]:
             assert dim_value == max(subdim_naive(g, host).value for host in range(1, 1 << n))
 
 
@@ -93,6 +99,28 @@ def test_sweep_makes_one_chi_decision_and_no_host_loop_per_graph(monkeypatch):
     finally:
         _sweep_stats.cache_clear()  # drop records built under the patches
     assert decisions == 1 + 2 + 8 + 64
+
+
+def test_lemma2_decides_only_its_check(monkeypatch):
+    # the critical subgraphs come with the sweep: the suite's only
+    # decisions are those of its chromatic_number_within check.  Building
+    # the sweep here warms it before counting.
+    cores = [(g, critical_subgraph(g)) for n in range(1, 5) for g, *_ in _sweep_stats(n)]
+    decisions = 0
+    real_decision = coloring._color_decision
+
+    def counting_decision(adj, order, k):
+        nonlocal decisions
+        decisions += 1
+        return real_decision(adj, order, k)
+
+    monkeypatch.setattr(verify, "_color_decision", counting_decision)
+    monkeypatch.setattr(coloring, "_color_decision", counting_decision)
+    for g, core in cores:
+        chromatic_number_within(g, core)
+    want, decisions = decisions, 0
+    assert run_suite("lemma2", 4)["ok"] is True
+    assert decisions == want
 
 
 # sha256 of the compact sorted-key JSON of run_suite(name, cap) plus a newline
